@@ -12,9 +12,7 @@ validation, 2 for usage, parse or I/O errors.
 from __future__ import annotations
 
 import argparse
-import enum
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .closure import compute_closure, full_scope
@@ -29,36 +27,6 @@ from .solve import SolveLimits, Status, solve_document
 FAIL_LINE = "FAIL\n"
 
 
-class Command(enum.Enum):
-    SOLVE = "solve"
-    FACTS = "facts"
-    CLOSURE = "closure"
-    VALIDATE = "validate"
-    GEN = "gen"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: Command
-    input: str | None = None
-    criteria: str = "paranoid"
-    output: str | None = None
-    timeout: float = 300.0
-    no_closure: bool = False
-    solution: str | None = None
-    seed: int = 0
-    packages: int = 20
-    max_versions: int = 3
-    installed_fraction: float = 0.4
-    depends_density: float = 0.5
-    conflicts_density: float = 0.2
-    provides_density: float = 0.15
-    recommends_density: float = 0.2
-    install_requests: int = 2
-    upgrade_requests: int = 1
-    remove_requests: int = 0
-
-
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cudfsolve",
@@ -66,16 +34,16 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, closure_flag: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, *, criteria_flags: bool = True) -> None:
         p.add_argument("input", help="CUDF document, or - for standard input")
-        p.add_argument(
-            "-c",
-            "--criteria",
-            default="paranoid",
-            help="optimization criteria: paranoid, trendy, or e.g. -removed,-changed",
-        )
         p.add_argument("-o", "--output", default=None, help="write results here instead of stdout")
-        if closure_flag:
+        if criteria_flags:
+            p.add_argument(
+                "-c",
+                "--criteria",
+                default="paranoid",
+                help="optimization criteria: paranoid, trendy, or e.g. -removed,-changed",
+            )
             p.add_argument(
                 "--no-closure",
                 action="store_true",
@@ -98,7 +66,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     common(p_closure)
 
     p_validate = sub.add_parser("validate", help="check a proposed solution")
-    common(p_validate, closure_flag=False)
+    common(p_validate, criteria_flags=False)
     p_validate.add_argument("solution", help="solution file (CUDF installed stanzas)")
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
@@ -117,35 +85,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    command = Command(args.command)
-    if command is Command.GEN:
-        return CliConfig(
-            command=command,
-            output=args.output,
-            seed=args.seed,
-            packages=args.packages,
-            max_versions=args.max_versions,
-            installed_fraction=args.installed_fraction,
-            depends_density=args.depends_density,
-            conflicts_density=args.conflicts_density,
-            provides_density=args.provides_density,
-            recommends_density=args.recommends_density,
-            install_requests=args.install_requests,
-            upgrade_requests=args.upgrade_requests,
-            remove_requests=args.remove_requests,
-        )
-    return CliConfig(
-        command=command,
-        input=args.input,
-        criteria=args.criteria,
-        output=args.output,
-        timeout=getattr(args, "timeout", 300.0),
-        no_closure=getattr(args, "no_closure", False),
-        solution=getattr(args, "solution", None),
-    )
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -159,9 +98,9 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def run(config: CliConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        return _dispatch(config)
+        return _dispatch(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -173,66 +112,66 @@ def run(config: CliConfig) -> int:
         return 2
 
 
-def _dispatch(config: CliConfig) -> int:
-    if config.command is Command.GEN:
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "gen":
         doc = generate_instance(
-            config.seed,
-            packages=config.packages,
-            max_versions=config.max_versions,
-            installed_fraction=config.installed_fraction,
-            depends_density=config.depends_density,
-            conflicts_density=config.conflicts_density,
-            provides_density=config.provides_density,
-            recommends_density=config.recommends_density,
-            install_requests=config.install_requests,
-            upgrade_requests=config.upgrade_requests,
-            remove_requests=config.remove_requests,
+            args.seed,
+            packages=args.packages,
+            max_versions=args.max_versions,
+            installed_fraction=args.installed_fraction,
+            depends_density=args.depends_density,
+            conflicts_density=args.conflicts_density,
+            provides_density=args.provides_density,
+            recommends_density=args.recommends_density,
+            install_requests=args.install_requests,
+            upgrade_requests=args.upgrade_requests,
+            remove_requests=args.remove_requests,
         )
-        _write(config.output, render_document(doc))
+        _write(args.output, render_document(doc))
         return 0
 
-    assert config.input is not None
-    criteria = parse_criteria(config.criteria)
-    text = _read_input(config.input)
+    if args.command != "validate":
+        criteria = parse_criteria(args.criteria)
+    text = _read_input(args.input)
     doc = parse_document(text, warn=lambda message: print(message, file=sys.stderr))
     index = DocIndex(doc)
 
-    if config.command is Command.SOLVE:
+    if args.command == "solve":
         try:
             outcome = solve_document(
                 doc,
                 criteria,
-                limits=SolveLimits(wall_clock=config.timeout),
-                use_closure=not config.no_closure,
+                limits=SolveLimits(wall_clock=args.timeout),
+                use_closure=not args.no_closure,
                 _index=index,
             )
         except InfeasibleInput:
-            _write(config.output, FAIL_LINE)
+            _write(args.output, FAIL_LINE)
             return 0
         if outcome.solution is None:
-            _write(config.output, FAIL_LINE)
+            _write(args.output, FAIL_LINE)
             return 0
         if outcome.status is Status.TIMED_OUT:
             print("timed out; writing best incumbent found", file=sys.stderr)
         print(f"objective: {outcome.solution.objective}", file=sys.stderr)
-        _write(config.output, render_solution(outcome.solution.installed))
+        _write(args.output, render_solution(outcome.solution.installed))
         return 0
 
-    if config.command is Command.FACTS:
-        if config.no_closure:
+    if args.command == "facts":
+        if args.no_closure:
             shrunk = full_scope(doc, _index=index)
         else:
             shrunk = compute_closure(doc, criteria, _index=index)
         try:
             facts = generate(doc, criteria, shrunk, _index=index)
         except InfeasibleInput:
-            _write(config.output, FAIL_LINE)
+            _write(args.output, FAIL_LINE)
             return 0
-        _write(config.output, render_facts(facts))
+        _write(args.output, render_facts(facts))
         return 0
 
-    if config.command is Command.CLOSURE:
-        if config.no_closure:
+    if args.command == "closure":
+        if args.no_closure:
             shrunk = full_scope(doc, _index=index)
         else:
             shrunk = compute_closure(doc, criteria, _index=index)
@@ -242,22 +181,21 @@ def _dispatch(config: CliConfig) -> int:
             f" closure={len(shrunk.closure)} feasible={feasible}"
             f" iterations={shrunk.iterations}\n"
         )
-        _write(config.output, report)
+        _write(args.output, report)
         return 0
 
-    assert config.command is Command.VALIDATE
-    assert config.solution is not None
-    solution_doc = parse_document(_read_input(config.solution))
+    assert args.command == "validate"
+    solution_doc = parse_document(_read_input(args.solution))
     selection = solution_doc.installed_ids()
     try:
         report = validate_solution(doc, selection, _index=index)
     except UnknownName as exc:
-        _write(config.output, f"unknown package in solution: {exc}\n")
+        _write(args.output, f"unknown package in solution: {exc}\n")
         return 1
     if report.ok:
-        _write(config.output, "OK\n")
+        _write(args.output, "OK\n")
         return 0
-    _write(config.output, "".join(f"{violation}\n" for violation in report.violations))
+    _write(args.output, "".join(f"{violation}\n" for violation in report.violations))
     return 1
 
 
@@ -279,4 +217,4 @@ def _glue_criteria(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_arg_parser()
     args = parser.parse_args(_glue_criteria(sys.argv[1:] if argv is None else list(argv)))
-    return run(_config_from_args(args))
+    return run(args)

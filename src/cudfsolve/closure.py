@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .criteria import CriteriaSeq, Criterion, Polarity
-from .model import Clause, CudfDocument, PackageId
-from .semantics import DocIndex, bound_satisfiable
+from .model import CudfDocument, PackageId
+from .semantics import DocIndex, _mentioned_names
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,6 @@ class ClosureResult:
     closure: frozenset[PackageId]
     feasible: bool
     iterations: int
-
-
-def _mentioned_names(clause: Clause) -> list[str]:
-    names: list[str] = []
-    for atom in clause.atoms:
-        if bound_satisfiable(atom.bound) and atom.name not in names:
-            names.append(atom.name)
-    return names
 
 
 def compute_out(doc: CudfDocument, *, _index: DocIndex | None = None) -> frozenset[PackageId]:

@@ -17,7 +17,7 @@ from .closure import ClosureResult
 from .criteria import CriteriaSeq, Criterion, Polarity
 from .errors import InfeasibleInput
 from .model import Clause, CudfDocument, PackageId
-from .semantics import DocIndex, bound_satisfiable
+from .semantics import DocIndex, _mentioned_names
 
 
 @dataclass(frozen=True, order=True)
@@ -68,19 +68,16 @@ class FactSet:
     members: Mapping[SetId, frozenset[PackageId]]
 
 
-def _mentioned_atoms(clause: Clause):
-    return [a for a in clause.atoms if bound_satisfiable(a.bound)]
-
-
 def _matching_pairs(
     index: DocIndex, clause: Clause, pid: PackageId
 ) -> frozenset[tuple[str, int]]:
     """The provided (name, version) pairs an upgrade clause accepts."""
+    mentioned = _mentioned_names(clause)
+    assert not index.all_names[pid].intersection(mentioned), (
+        "open-ended provides of an upgraded name must be excluded upstream"
+    )
     pairs: set[tuple[str, int]] = set()
-    for atom in _mentioned_atoms(clause):
-        assert atom.name not in index.all_names[pid], (
-            "open-ended provides of an upgraded name must be excluded upstream"
-        )
+    for atom in clause.atoms:
         for version in index.exact[pid].get(atom.name, ()):
             if atom.bound is None or atom.bound.op.holds(version, atom.bound.value):
                 pairs.add((atom.name, version))

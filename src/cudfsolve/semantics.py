@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Union
 
 from .criteria import CriteriaSeq, Criterion, Polarity
 from .errors import UnknownName
@@ -27,52 +27,6 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class VersionSpec:
-    """A provided version: an exact one, or every version at once."""
-
-    version: int | None = None
-
-    @property
-    def is_all(self) -> bool:
-        return self.version is None
-
-
-ALL_VERSIONS = VersionSpec(None)
-
-
-@dataclass(frozen=True)
-class ProvideSet:
-    """Everything a package (or group of packages) makes available."""
-
-    entries: Mapping[str, frozenset[VersionSpec]]
-
-    def names(self) -> frozenset[str]:
-        return frozenset(self.entries)
-
-    def has_all(self, name: str) -> bool:
-        return ALL_VERSIONS in self.entries.get(name, frozenset())
-
-    def exact_versions(self, name: str) -> frozenset[int]:
-        return frozenset(
-            s.version for s in self.entries.get(name, frozenset()) if s.version is not None
-        )
-
-    def matches(self, constraint: Constraint) -> bool:
-        specs = self.entries.get(constraint.name)
-        if not specs:
-            return False
-        if constraint.bound is None:
-            return True
-        if ALL_VERSIONS in specs and bound_satisfiable(constraint.bound):
-            return True
-        bound = constraint.bound
-        return any(
-            s.version is not None and bound.op.holds(s.version, bound.value)
-            for s in specs
-        )
-
-
 def bound_satisfiable(bound: VersionBound | None) -> bool:
     """Whether any version at all (over positive integers) meets ``bound``."""
     if bound is None:
@@ -86,56 +40,13 @@ def bound_satisfiable(bound: VersionBound | None) -> bool:
     return True  # NEQ, GT, GE always have a witness
 
 
-def constraint_matches(constraint: Constraint, name: str, version: int) -> bool:
-    """Whether the real package pair (name, version) meets ``constraint``."""
-    if constraint.name != name:
-        return False
-    if constraint.bound is None:
-        return True
-    return constraint.bound.op.holds(version, constraint.bound.value)
-
-
-def _merge_entry(
-    entries: dict[str, set[VersionSpec]], name: str, spec: VersionSpec
-) -> None:
-    specs = entries.setdefault(name, set())
-    if ALL_VERSIONS in specs:
-        return
-    if spec.is_all:
-        specs.clear()
-    specs.add(spec)
-
-
-def provide(desc: PackageDesc) -> ProvideSet:
-    """The versions made available by installing ``desc``."""
-    entries: dict[str, set[VersionSpec]] = {desc.name: {VersionSpec(desc.version)}}
-    for clause in desc.provides.clauses:
-        atom = clause.atoms[0]
-        spec = ALL_VERSIONS if atom.bound is None else VersionSpec(atom.bound.value)
-        _merge_entry(entries, atom.name, spec)
-    return ProvideSet({n: frozenset(s) for n, s in entries.items()})
-
-
-def provide_union(descs: Iterable[PackageDesc]) -> ProvideSet:
-    """The combined :func:`provide` of several packages."""
-    entries: dict[str, set[VersionSpec]] = {}
-    for desc in descs:
-        for name, specs in provide(desc).entries.items():
-            for spec in specs:
-                _merge_entry(entries, name, spec)
-    return ProvideSet({n: frozenset(s) for n, s in entries.items()})
-
-
-def clause_providers(
-    clause: Clause, candidates: Iterable[PackageDesc]
-) -> set[PackageId]:
-    """The candidates whose provide set meets any atom of ``clause``."""
-    out: set[PackageId] = set()
-    for desc in candidates:
-        prov = provide(desc)
-        if any(prov.matches(atom) for atom in clause.atoms):
-            out.add(desc.id)
-    return out
+def _mentioned_names(clause: Clause) -> list[str]:
+    """Names an upgrade clause could target at all, in clause order."""
+    names: list[str] = []
+    for atom in clause.atoms:
+        if bound_satisfiable(atom.bound) and atom.name not in names:
+            names.append(atom.name)
+    return names
 
 
 class DocIndex:
@@ -160,14 +71,23 @@ class DocIndex:
         # provided name -> packages touching it, in document order
         self.touching: dict[str, list[PackageId]] = {}
         for desc in doc.packages:
-            prov = provide(desc)
+            # a package provides itself; an unversioned provide covers
+            # every version, which swallows exact ones of the same name
+            provided: dict[str, set[int]] = {desc.name: {desc.version}}
+            open_names: set[str] = set()
+            for clause in desc.provides.clauses:
+                atom = clause.atoms[0]
+                versions = provided.setdefault(atom.name, set())
+                if atom.bound is None:
+                    open_names.add(atom.name)
+                else:
+                    versions.add(atom.bound.value)
             self.exact[desc.id] = {
-                n: prov.exact_versions(n) for n in prov.entries
+                n: frozenset() if n in open_names else frozenset(vs)
+                for n, vs in provided.items()
             }
-            self.all_names[desc.id] = frozenset(
-                n for n in prov.entries if prov.has_all(n)
-            )
-            for name in prov.entries:
+            self.all_names[desc.id] = frozenset(open_names)
+            for name in provided:
                 self.touching.setdefault(name, []).append(desc.id)
         self.effective = effective_request(doc)
 
@@ -228,26 +148,24 @@ class OptimizationSets:
 
 
 def compute_sets(
-    doc: CudfDocument, installed: Iterable[PackageId]
+    doc: CudfDocument,
+    installed: Iterable[PackageId],
+    *,
+    _index: DocIndex | None = None,
 ) -> OptimizationSets:
     """Measure the follow-up installation against the current one."""
+    index = _index if _index is not None else DocIndex(doc)
     chosen = frozenset(installed)
-    by_id = {p.id: p for p in doc.packages}
     for pid in chosen:
-        if pid not in by_id:
+        if pid not in index.by_id:
             raise UnknownName(f"{pid} is not in the document")
 
     p_versions: dict[str, set[int]] = {}
     for pid in chosen:
         p_versions.setdefault(pid.name, set()).add(pid.version)
     o_versions: dict[str, set[int]] = {}
-    for desc in doc.packages:
-        if desc.installed:
-            o_versions.setdefault(desc.name, set()).add(desc.version)
-    umax: dict[str, int] = {}
-    for desc in doc.packages:
-        if umax.get(desc.name, 0) < desc.version:
-            umax[desc.name] = desc.version
+    for pid in index.installed:
+        o_versions.setdefault(pid.name, set()).add(pid.version)
 
     new = frozenset(n for n in p_versions if n not in o_versions)
     removed = frozenset(n for n in o_versions if n not in p_versions)
@@ -257,15 +175,13 @@ def compute_sets(
         if p_versions.get(n, set()) != o_versions.get(n, set())
     )
     not_up_to_date = frozenset(
-        n for n, versions in p_versions.items() if umax[n] not in versions
+        n for n, versions in p_versions.items() if index.umax[n] not in versions
     )
 
-    prov = provide_union(by_id[pid] for pid in chosen)
     unsat: set[tuple[str, int, int]] = set()
     for pid in chosen:
-        desc = by_id[pid]
-        for i, clause in enumerate(desc.recommends.clauses, 1):
-            if not any(prov.matches(atom) for atom in clause.atoms):
+        for i, clause in enumerate(index.by_id[pid].recommends.clauses, 1):
+            if not index.providers(clause, chosen):
                 unsat.add((pid.name, pid.version, i))
 
     return OptimizationSets(new, removed, changed, not_up_to_date, frozenset(unsat))
@@ -301,10 +217,14 @@ class ObjectiveVector:
 
 
 def evaluate(
-    doc: CudfDocument, installed: Iterable[PackageId], criteria: CriteriaSeq
+    doc: CudfDocument,
+    installed: Iterable[PackageId],
+    criteria: CriteriaSeq,
+    *,
+    _index: DocIndex | None = None,
 ) -> ObjectiveVector:
     """The objective vector of an installation under ``criteria``."""
-    sets = compute_sets(doc, installed)
+    sets = compute_sets(doc, installed, _index=_index)
     counts = {
         Criterion.NEW: len(sets.new),
         Criterion.REMOVED: len(sets.removed),
@@ -377,15 +297,6 @@ Violation = Union[
 class ValidationReport:
     ok: bool
     violations: tuple[Violation, ...]
-
-
-def _mentioned_names(clause: Clause) -> list[str]:
-    """Names an upgrade clause could target at all, in clause order."""
-    names: list[str] = []
-    for atom in clause.atoms:
-        if bound_satisfiable(atom.bound) and atom.name not in names:
-            names.append(atom.name)
-    return names
 
 
 def validate_solution(

@@ -6,13 +6,9 @@ a propositional model: one variable per candidate, plus derived
 per-name variables for the objective counts.  Criteria are optimized
 one at a time, most significant first; each level is tightened by a
 descending bound until the solver reports the bound unreachable, then
-frozen at its optimum while the next level runs.
-
-Two engines are available: ``"cdcl"`` (clause learning with native
-counting bounds, the default) and ``"bnb"`` (plain depth-first branch
-and bound, kept as an independent reference for modest inputs).  For
-tiny universes :func:`brute_force` grinds through every subset and is
-the final word in disagreements.
+frozen at its optimum while the next level runs.  For tiny universes
+:func:`brute_force` grinds through every subset and is the final word
+in disagreements.
 """
 
 from __future__ import annotations
@@ -28,9 +24,7 @@ from .errors import ScopeTooLarge
 from .facts import generate
 from .model import CudfDocument, PackageId
 from .sat import Result, Solver
-from .semantics import DocIndex, ObjectiveValue, ObjectiveVector, evaluate, validate_solution
-
-_BNB_LIMIT = 400
+from .semantics import DocIndex, ObjectiveVector, evaluate, validate_solution
 
 
 class Status(enum.Enum):
@@ -41,7 +35,7 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveLimits:
-    max_steps: int | None = None  # conflict budget (cdcl) / node budget (bnb)
+    max_steps: int | None = None  # conflict budget
     wall_clock: float | None = 300.0
 
 
@@ -67,51 +61,9 @@ class Problem:
     depends: tuple[tuple[PackageId, frozenset[PackageId]], ...]
     conflicts: tuple[tuple[PackageId, frozenset[PackageId]], ...]
     recommends: tuple[tuple[PackageId, frozenset[PackageId], int], ...]
+    index: DocIndex
     newest: Mapping[str, int] = field(default_factory=dict)
     criteria: CriteriaSeq = field(default_factory=lambda: CriteriaSeq(()))
-
-    def vector_of(self, chosen: frozenset[PackageId]) -> ObjectiveVector:
-        """Objective vector of a selection drawn from the candidates."""
-        o_names = {p.name for p in self.installed}
-        p_names = {p.name for p in chosen}
-        values = []
-        for signed in self.criteria.significance_first():
-            crit = signed.criterion
-            if crit is Criterion.NEW:
-                count = len(p_names - o_names)
-            elif crit is Criterion.REMOVED:
-                count = len(o_names - p_names)
-            elif crit is Criterion.CHANGED:
-                count = _changed_names(self.installed, chosen)
-            elif crit is Criterion.NOT_UP_TO_DATE:
-                count = sum(
-                    1
-                    for name in p_names
-                    if PackageId(name, self.newest[name]) not in chosen
-                )
-            else:
-                count = sum(
-                    weight
-                    for pid, members, weight in self.recommends
-                    if pid in chosen and not members & chosen
-                )
-            values.append(ObjectiveValue(crit, signed.polarity, count))
-        return ObjectiveVector(tuple(values))
-
-
-def _changed_names(before: frozenset[PackageId], after: frozenset[PackageId]) -> int:
-    versions_before: dict[str, set[int]] = {}
-    for pid in before:
-        versions_before.setdefault(pid.name, set()).add(pid.version)
-    versions_after: dict[str, set[int]] = {}
-    for pid in after:
-        versions_after.setdefault(pid.name, set()).add(pid.version)
-    names = set(versions_before) | set(versions_after)
-    return sum(
-        1
-        for name in names
-        if versions_before.get(name, set()) != versions_after.get(name, set())
-    )
 
 
 def build_problem(
@@ -134,6 +86,7 @@ def build_problem(
         recommends=tuple(
             (pid, members[sid], weight) for pid, sid, weight in facts.recommends
         ),
+        index=index,
         newest=facts.newest,
         criteria=criteria,
     )
@@ -145,7 +98,6 @@ def solve_document(
     *,
     limits: SolveLimits | None = None,
     use_closure: bool = True,
-    engine: str = "cdcl",
     _index: DocIndex | None = None,
 ) -> SolveOutcome:
     """Parse-to-answer convenience: shrink, compile, optimize."""
@@ -155,21 +107,11 @@ def solve_document(
     else:
         shrunk = full_scope(doc, _index=index)
     problem = build_problem(doc, criteria, shrunk, _index=index)
-    return solve(problem, limits=limits, engine=engine)
+    return solve(problem, limits=limits)
 
 
-def solve(
-    problem: Problem,
-    *,
-    limits: SolveLimits | None = None,
-    engine: str = "cdcl",
-) -> SolveOutcome:
-    limits = limits if limits is not None else SolveLimits()
-    if engine == "cdcl":
-        return _solve_cdcl(problem, limits)
-    if engine == "bnb":
-        return _solve_bnb(problem, limits)
-    raise ValueError(f"unknown engine: {engine!r}")
+def solve(problem: Problem, *, limits: SolveLimits | None = None) -> SolveOutcome:
+    return _solve_cdcl(problem, limits if limits is not None else SolveLimits())
 
 
 # ----------------------------------------------------------------------
@@ -390,181 +332,20 @@ def _solve_cdcl(problem: Problem, limits: SolveLimits) -> SolveOutcome:
                 bound = incumbent + 1
             status = attempt(level, bound)
             if status == "unknown":
-                assert best is not None
-                partial = Solution(best, problem.vector_of(best))
-                return SolveOutcome(Status.TIMED_OUT, partial)
+                return SolveOutcome(Status.TIMED_OUT, _solution(problem, best))
             if status == "unsat":
                 break
             incumbent = counts[level]
         frozen[level] = incumbent
 
+    return SolveOutcome(Status.OPTIMAL, _solution(problem, best))
+
+
+def _solution(problem: Problem, best: frozenset[PackageId] | None) -> Solution:
+    """The selection with its objective, as the referee measures it."""
     assert best is not None
-    return SolveOutcome(Status.OPTIMAL, Solution(best, problem.vector_of(best)))
-
-
-# ----------------------------------------------------------------------
-# branch and bound
-
-
-class _OutOfTime(Exception):
-    pass
-
-
-def _solve_bnb(problem: Problem, limits: SolveLimits) -> SolveOutcome:
-    candidates = problem.candidates
-    if len(candidates) > _BNB_LIMIT:
-        raise ScopeTooLarge(
-            f"branch and bound handles at most {_BNB_LIMIT} candidates,"
-            f" got {len(candidates)}"
-        )
-    deadline = (
-        monotonic() + limits.wall_clock if limits.wall_clock is not None else None
-    )
-    sig = problem.criteria.significance_first()
-    installed = problem.installed
-    o_names = {p.name for p in installed}
-    by_name: dict[str, list[PackageId]] = {}
-    for pid in candidates:
-        by_name.setdefault(pid.name, []).append(pid)
-    new_names = [name for name in by_name if name not in o_names]
-    old_names = [name for name in by_name if name in o_names]
-    removed_constant = len(o_names - set(by_name))
-    candidate_set = set(candidates)
-    changed_constant = {p.name for p in installed if p not in candidate_set}
-    top_of: dict[str, PackageId | None] = {}
-    for name in by_name:
-        top = PackageId(name, problem.newest[name])
-        top_of[name] = top if top in set(by_name[name]) else None
-
-    chosen: set[PackageId] = set()
-    out: set[PackageId] = set()
-    best_key: tuple[int, ...] | None = None
-    best_set: frozenset[PackageId] | None = None
-    nodes = 0
-
-    def hard_violated() -> bool:
-        for pid, enemies in problem.conflicts:
-            if pid in chosen and enemies & chosen:
-                return True
-        for members in problem.requests:
-            if members <= out:
-                return True
-        for pid, members in problem.depends:
-            if pid in chosen and members <= out:
-                return True
-        return False
-
-    def optimistic_key() -> tuple[int, ...]:
-        parts: list[int] = []
-        for signed in sig:
-            crit = signed.criterion
-            minus = signed.polarity is Polarity.MINUS
-            if crit is Criterion.NEW:
-                if minus:
-                    value = sum(
-                        1
-                        for name in new_names
-                        if any(p in chosen for p in by_name[name])
-                    )
-                else:
-                    value = -sum(
-                        1
-                        for name in new_names
-                        if any(p not in out for p in by_name[name])
-                    )
-            elif crit is Criterion.REMOVED:
-                if minus:
-                    value = removed_constant + sum(
-                        1
-                        for name in old_names
-                        if all(p in out for p in by_name[name])
-                    )
-                else:
-                    value = -(
-                        removed_constant
-                        + sum(
-                            1
-                            for name in old_names
-                            if not any(p in chosen for p in by_name[name])
-                        )
-                    )
-            elif crit is Criterion.CHANGED:
-                names = set(changed_constant)
-                for name, group in by_name.items():
-                    if name in names:
-                        continue
-                    for p in group:
-                        decided_diff = (p in chosen and p not in installed) or (
-                            p in out and p in installed
-                        )
-                        if decided_diff or (
-                            not minus and p not in chosen and p not in out
-                        ):
-                            names.add(name)
-                            break
-                value = len(names) if minus else -len(names)
-            elif crit is Criterion.NOT_UP_TO_DATE:
-                value = 0
-                for name, group in by_name.items():
-                    top = top_of[name]
-                    if minus:
-                        if (top is None or top in out) and any(
-                            p in chosen for p in group
-                        ):
-                            value += 1
-                    else:
-                        if (top is None or top not in chosen) and any(
-                            p not in out for p in group
-                        ):
-                            value -= 1
-            else:
-                value = 0
-                for pid, members, weight in problem.recommends:
-                    if minus:
-                        if pid in chosen and members <= out:
-                            value += weight
-                    else:
-                        if pid not in out and not members & chosen:
-                            value -= weight
-            parts.append(value)
-        return tuple(parts)
-
-    def search(i: int) -> None:
-        nonlocal nodes, best_key, best_set
-        nodes += 1
-        if limits.max_steps is not None and nodes > limits.max_steps:
-            raise _OutOfTime
-        if deadline is not None and nodes % 256 == 0 and monotonic() > deadline:
-            raise _OutOfTime
-        if hard_violated():
-            return
-        if best_key is not None and optimistic_key() >= best_key:
-            return
-        if i == len(candidates):
-            selection = frozenset(chosen)
-            key = problem.vector_of(selection).key()
-            if best_key is None or key < best_key:
-                best_key = key
-                best_set = selection
-            return
-        pid = candidates[i]
-        for put_in in (True, False) if pid in installed else (False, True):
-            bucket = chosen if put_in else out
-            bucket.add(pid)
-            search(i + 1)
-            bucket.remove(pid)
-
-    try:
-        search(0)
-    except _OutOfTime:
-        if best_set is None:
-            return SolveOutcome(Status.TIMED_OUT)
-        return SolveOutcome(
-            Status.TIMED_OUT, Solution(best_set, problem.vector_of(best_set))
-        )
-    if best_set is None:
-        return SolveOutcome(Status.UNSATISFIABLE)
-    return SolveOutcome(Status.OPTIMAL, Solution(best_set, problem.vector_of(best_set)))
+    index = problem.index
+    return Solution(best, evaluate(index.doc, best, problem.criteria, _index=index))
 
 
 # ----------------------------------------------------------------------
@@ -594,7 +375,7 @@ def brute_force(
         selection = frozenset(pid for i, pid in enumerate(pool) if mask >> i & 1)
         if not validate_solution(doc, selection, _index=index).ok:
             continue
-        vector = evaluate(doc, selection, criteria)
+        vector = evaluate(doc, selection, criteria, _index=index)
         rank = (vector.key(), len(selection), tuple(sorted(selection)))
         if best_rank is None or rank < best_rank:
             best_rank = rank

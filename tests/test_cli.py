@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from cudfsolve import PackageId, parse_document
+from cudfsolve import DocIndex, PackageId, parse_document
 from cudfsolve.cli import main
 
 INFEASIBLE = "package: a\nversion: 1\n\nrequest: \ninstall: ghost\n"
@@ -133,6 +133,28 @@ def test_validate_rejects_unknown_packages(capsys, tmp_path, scenario_path):
     code, out, _ = run_cli(capsys, "validate", scenario_path, str(answer))
     assert code == 1
     assert out.startswith("unknown package in solution")
+
+
+def test_validate_takes_no_criteria(capsys, tmp_path, scenario_path):
+    answer = tmp_path / "answer.cudf"
+    assert run_cli(capsys, "solve", scenario_path, "-o", str(answer))[0] == 0
+    with pytest.raises(SystemExit) as info:
+        main(["validate", scenario_path, str(answer), "-c", "trendy"])
+    assert info.value.code == 2
+
+
+def test_solve_builds_one_index(capsys, monkeypatch, scenario_path):
+    built = []
+    original = DocIndex.__init__
+
+    def counting(self, doc):
+        built.append(doc)
+        original(self, doc)
+
+    monkeypatch.setattr(DocIndex, "__init__", counting)
+    code, _, err = run_cli(capsys, "solve", scenario_path, "-c", "trendy")
+    assert code == 0 and "objective: " in err
+    assert len(built) == 1
 
 
 def test_gen_emits_a_parseable_document(capsys):

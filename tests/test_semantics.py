@@ -17,20 +17,15 @@ from cudfsolve import (
     parse_criteria,
     parse_document,
     parse_formula,
-    provide,
-    provide_union,
     validate_solution,
 )
 from cudfsolve.semantics import (
-    ALL_VERSIONS,
     ConflictViolated,
     OutPackageInstalled,
     UnsatisfiedDependency,
     UnsatisfiedRequest,
     UpgradeMultiVersion,
-    VersionSpec,
     bound_satisfiable,
-    constraint_matches,
 )
 
 PARANOID = parse_criteria("paranoid")
@@ -47,39 +42,51 @@ def desc(name, version, **kwargs):
 # ---------------------------------------------------------------- provides
 
 
+def index_of(*descs):
+    return DocIndex(make_document(descs))
+
+
 def test_provide_includes_the_package_itself():
-    p = provide(desc("a", 2))
-    assert p.entries == {"a": frozenset({VersionSpec(2)})}
+    index = index_of(desc("a", 2))
+    assert index.exact[pid("a", 2)] == {"a": frozenset({2})}
+    assert index.all_names[pid("a", 2)] == frozenset()
+    assert index.touching == {"a": [pid("a", 2)]}
 
 
 def test_provide_with_pinned_and_open_features():
-    p = provide(
-        desc("feat", 1, provides=parse_formula("conf = 3, lib"))
-    )
-    assert p.exact_versions("conf") == {3}
-    assert p.has_all("lib")
-    assert p.names() == {"feat", "conf", "lib"}
+    feat = pid("feat", 1)
+    index = index_of(desc("feat", 1, provides=parse_formula("conf = 3, lib")))
+    assert index.exact[feat] == {
+        "feat": frozenset({1}),
+        "conf": frozenset({3}),
+        "lib": frozenset(),
+    }
+    assert index.all_names[feat] == {"lib"}
+    assert index.atom_matches(Constraint("conf"), feat)
+    assert index.atom_matches(Constraint("conf", VersionBound(RelOp.GE, 3)), feat)
+    assert not index.atom_matches(Constraint("conf", VersionBound(RelOp.LT, 3)), feat)
+    assert index.atom_matches(Constraint("lib", VersionBound(RelOp.GT, 99)), feat)
+    assert not index.atom_matches(Constraint("nothere"), feat)
 
 
 def test_all_versions_swallows_exact_ones():
-    a = desc("a", 1, provides=parse_formula("v = 2"))
-    b = desc("b", 1, provides=parse_formula("v"))
-    union = provide_union([a, b])
-    assert union.entries["v"] == frozenset({ALL_VERSIONS})
-
-
-def test_provide_set_matching():
-    p = provide(desc("feat", 1, provides=parse_formula("conf = 3, lib")))
-    assert p.matches(Constraint("conf"))
-    assert p.matches(Constraint("conf", VersionBound(RelOp.GE, 3)))
-    assert not p.matches(Constraint("conf", VersionBound(RelOp.LT, 3)))
-    assert p.matches(Constraint("lib", VersionBound(RelOp.GT, 99)))
-    assert not p.matches(Constraint("nothere"))
+    index = index_of(
+        desc("a", 1, provides=parse_formula("v = 2")),
+        desc("b", 1, provides=parse_formula("v = 2, v")),
+    )
+    assert index.exact[pid("b", 1)]["v"] == frozenset()
+    assert index.all_names[pid("b", 1)] == {"v"}
+    five = Clause((Constraint("v", VersionBound(RelOp.EQ, 5)),))
+    assert index.providers(five) == [pid("b", 1)]
+    two = Clause((Constraint("v", VersionBound(RelOp.EQ, 2)),))
+    assert index.providers(two) == [pid("a", 1), pid("b", 1)]
 
 
 def test_open_provides_cannot_meet_an_unsatisfiable_bound():
-    p = provide(desc("a", 1, provides=parse_formula("v")))
-    assert not p.matches(Constraint("v", VersionBound(RelOp.LT, 1)))
+    index = index_of(desc("a", 1, provides=parse_formula("v")))
+    never = Constraint("v", VersionBound(RelOp.LT, 1))
+    assert not index.atom_matches(never, pid("a", 1))
+    assert index.providers(Clause((never,))) == []
 
 
 @pytest.mark.parametrize(
@@ -96,13 +103,6 @@ def test_open_provides_cannot_meet_an_unsatisfiable_bound():
 def test_bound_satisfiable(op, value, expected):
     assert bound_satisfiable(VersionBound(op, value)) is expected
     assert bound_satisfiable(None) is True
-
-
-def test_constraint_matches_is_for_real_pairs_only():
-    c = Constraint("a", VersionBound(RelOp.GE, 2))
-    assert constraint_matches(c, "a", 3)
-    assert not constraint_matches(c, "a", 1)
-    assert not constraint_matches(c, "b", 3)
 
 
 # ---------------------------------------------------------------- index
