@@ -62,6 +62,11 @@ def test_provide_with_pinned_and_open_features():
         "lib": frozenset(),
     }
     assert index.all_names[feat] == {"lib"}
+
+
+def test_provide_set_matching():
+    feat = pid("feat", 1)
+    index = index_of(desc("feat", 1, provides=parse_formula("conf = 3, lib")))
     assert index.atom_matches(Constraint("conf"), feat)
     assert index.atom_matches(Constraint("conf", VersionBound(RelOp.GE, 3)), feat)
     assert not index.atom_matches(Constraint("conf", VersionBound(RelOp.LT, 3)), feat)
