@@ -64,7 +64,6 @@ from .semantics import (
     validate_solution,
 )
 from .solve import (
-    Problem,
     Solution,
     SolveLimits,
     SolveOutcome,
@@ -104,7 +103,6 @@ __all__ = [
     "ParseError",
     "ParseErrorKind",
     "Polarity",
-    "Problem",
     "RelOp",
     "Request",
     "ScopeTooLarge",

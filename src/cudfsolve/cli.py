@@ -20,7 +20,7 @@ from .criteria import parse_criteria
 from .errors import CudfError, InfeasibleInput, UnknownName
 from .facts import generate, render_facts
 from .gen import generate_instance
-from .parser import ParseError, parse_document, render_document, render_solution
+from .parser import parse_document, render_document, render_solution
 from .semantics import DocIndex, validate_solution
 from .solve import SolveLimits, Status, solve_document
 
@@ -101,13 +101,7 @@ def _write(path: str | None, text: str) -> None:
 def run(args: argparse.Namespace) -> int:
     try:
         return _dispatch(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CudfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CudfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -157,11 +151,26 @@ def _dispatch(args: argparse.Namespace) -> int:
         _write(args.output, render_solution(outcome.solution.installed))
         return 0
 
+    if args.command == "validate":
+        solution_doc = parse_document(_read_input(args.solution))
+        selection = solution_doc.installed_ids()
+        try:
+            report = validate_solution(doc, selection, _index=index)
+        except UnknownName as exc:
+            _write(args.output, f"unknown package in solution: {exc}\n")
+            return 1
+        if report.ok:
+            _write(args.output, "OK\n")
+            return 0
+        _write(args.output, "".join(f"{violation}\n" for violation in report.violations))
+        return 1
+
+    if args.no_closure:
+        shrunk = full_scope(doc, _index=index)
+    else:
+        shrunk = compute_closure(doc, criteria, _index=index)
+
     if args.command == "facts":
-        if args.no_closure:
-            shrunk = full_scope(doc, _index=index)
-        else:
-            shrunk = compute_closure(doc, criteria, _index=index)
         try:
             facts = generate(doc, criteria, shrunk, _index=index)
         except InfeasibleInput:
@@ -170,33 +179,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         _write(args.output, render_facts(facts))
         return 0
 
-    if args.command == "closure":
-        if args.no_closure:
-            shrunk = full_scope(doc, _index=index)
-        else:
-            shrunk = compute_closure(doc, criteria, _index=index)
-        feasible = "true" if shrunk.feasible else "false"
-        report = (
-            f"universe={len(doc.packages)} out={len(shrunk.out)}"
-            f" closure={len(shrunk.closure)} feasible={feasible}"
-            f" iterations={shrunk.iterations}\n"
-        )
-        _write(args.output, report)
-        return 0
-
-    assert args.command == "validate"
-    solution_doc = parse_document(_read_input(args.solution))
-    selection = solution_doc.installed_ids()
-    try:
-        report = validate_solution(doc, selection, _index=index)
-    except UnknownName as exc:
-        _write(args.output, f"unknown package in solution: {exc}\n")
-        return 1
-    if report.ok:
-        _write(args.output, "OK\n")
-        return 0
-    _write(args.output, "".join(f"{violation}\n" for violation in report.violations))
-    return 1
+    assert args.command == "closure"
+    feasible = "true" if shrunk.feasible else "false"
+    report = (
+        f"universe={len(doc.packages)} out={len(shrunk.out)}"
+        f" closure={len(shrunk.closure)} feasible={feasible}"
+        f" iterations={shrunk.iterations}\n"
+    )
+    _write(args.output, report)
+    return 0
 
 
 def _glue_criteria(argv: list[str]) -> list[str]:

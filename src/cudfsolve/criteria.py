@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import BadCriteria
 
@@ -42,6 +43,7 @@ _FACT_NAMES = {
 }
 
 _BY_CLI_NAME = {c.value: c for c in Criterion}
+_BY_FACT_NAME = {fact: c for c, fact in _FACT_NAMES.items()}
 
 
 class Polarity(enum.Enum):
@@ -95,6 +97,23 @@ class CriteriaSeq:
             if item.criterion is criterion:
                 return item.polarity
         return None
+
+    def facts(self) -> tuple[tuple[str, int], ...]:
+        """``criterion(name, position)`` facts; minimized positions are negative."""
+        return tuple(
+            (item.criterion.fact_name, -i if item.polarity is Polarity.MINUS else i)
+            for i, item in enumerate(self.items, 1)
+        )
+
+    @classmethod
+    def from_facts(cls, facts: Iterable[tuple[str, int]]) -> CriteriaSeq:
+        """The sequence whose :meth:`facts` these are."""
+        ordered = sorted(facts, key=lambda fact: abs(fact[1]))
+        items = (
+            SignedCriterion(_BY_FACT_NAME[name], Polarity.MINUS if i < 0 else Polarity.PLUS)
+            for name, i in ordered
+        )
+        return cls(tuple(items))
 
     def __str__(self) -> str:
         return ",".join(str(i) for i in self.significance_first())

@@ -3,18 +3,19 @@
 The output is a flat set of ground facts over interned package sets:
 ``depends(name, version, s3)`` says the package needs a member of set
 ``s3`` installed, ``satisfies(name, version, s3)`` enumerates that
-set, and so on.  The same representation feeds the bundled solver and
-can be rendered as text for external logic-programming tools.
+set, and so on.  The bundled solver reads this one representation
+directly, and it can be rendered as text for external logic-programming
+tools.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .closure import ClosureResult
-from .criteria import CriteriaSeq, Criterion, Polarity
+from .criteria import CriteriaSeq, Criterion
 from .errors import InfeasibleInput
 from .model import Clause, CudfDocument, PackageId
 from .semantics import DocIndex, _mentioned_names
@@ -66,6 +67,8 @@ class FactSet:
     satisfies: tuple[tuple[PackageId, SetId], ...]
     criteria: tuple[tuple[str, int], ...]
     members: Mapping[SetId, frozenset[PackageId]]
+    #: the source document's lookup; the solver's variable order is its document order
+    index: DocIndex = field(compare=False)
 
 
 def _matching_pairs(
@@ -165,13 +168,6 @@ def generate(
     )
 
     newest = {desc.name: index.umax[desc.name] for desc in ordered}
-    criteria_facts = tuple(
-        (
-            item.criterion.fact_name,
-            position if item.polarity is Polarity.PLUS else -position,
-        )
-        for position, item in enumerate(criteria.items, 1)
-    )
 
     return FactSet(
         units=frozenset(scope),
@@ -182,8 +178,9 @@ def generate(
         conflicts=tuple(conflicts),
         requests=tuple(requests),
         satisfies=satisfies,
-        criteria=criteria_facts,
+        criteria=criteria.facts(),
         members=dict(interner.members),
+        index=index,
     )
 
 

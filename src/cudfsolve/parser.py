@@ -50,7 +50,6 @@ class ParseError(CudfError):
 WarnSink = Callable[[str], None]
 
 _LINE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9-]*):(.*)$")
-_NAME_RE = re.compile(r"[a-zA-Z0-9.+-]+")
 _OP_RUN_RE = re.compile(r"[<>=!]+")
 _DIGITS_RE = re.compile(r"[0-9]+")
 
@@ -90,7 +89,7 @@ def _parse_version_token(token: str, line: int) -> int:
 
 def _parse_atom(text: str, line: int) -> Constraint:
     pos = _skip_ws(text, 0)
-    name_match = _NAME_RE.match(text, pos)
+    name_match = model.NAME_RE.match(text, pos)
     if name_match is None:
         raise ParseError(line, ParseErrorKind.SYNTAX, f"expected a package name in {text!r}")
     name = name_match.group(0)
@@ -196,7 +195,7 @@ def _split_stanzas(text: str) -> Iterable[_Stanza]:
 def _package_from_stanza(stanza: _Stanza, warn: WarnSink | None) -> PackageDesc:
     props = stanza.props
     name = props["package"]
-    if _NAME_RE.fullmatch(name) is None:
+    if model.NAME_RE.fullmatch(name) is None:
         raise ParseError(
             stanza.lines["package"], ParseErrorKind.SYNTAX, f"bad package name {name!r}"
         )
@@ -325,10 +324,8 @@ def parse_document(text: str, warn: WarnSink | None = None) -> CudfDocument:
                 ParseErrorKind.SYNTAX,
                 f"stanza must start with package:, request: or preamble:, got {opener!r}",
             )
-    try:
-        return model.make_document(packages, request)
-    except CudfError as exc:  # pragma: no cover - guarded by in-parser checks
-        raise ParseError(0, ParseErrorKind.SYNTAX, str(exc)) from exc
+    # every check of model.make_document has already been made above
+    return CudfDocument(tuple(packages), request if request is not None else Request())
 
 
 def render_formula(formula: Formula) -> str:

@@ -319,13 +319,7 @@ class Solver:
                 heappush(self.heap, (-self.activity[v], v))
                 continue
             return v
-        best: int | None = None
-        for v in range(1, self.num_vars + 1):
-            if self.assign[v] == 0 and (
-                best is None or self.activity[v] > self.activity[best]
-            ):
-                best = v
-        return best
+        return None
 
     def solve(
         self,

@@ -1,27 +1,27 @@
 """Lexicographic optimization of package selections.
 
-The compiled problem (candidate packages plus provider sets for
-requests, dependencies, conflicts and recommendations) is turned into
-a propositional model: one variable per candidate, plus derived
-per-name variables for the objective counts.  Criteria are optimized
-one at a time, most significant first; each level is tightened by a
-descending bound until the solver reports the bound unreachable, then
-frozen at its optimum while the next level runs.  For tiny universes
-:func:`brute_force` grinds through every subset and is the final word
-in disagreements.
+The propositional model is built from the fact set that
+:mod:`cudfsolve.facts` compiles (units plus interned provider sets for
+requests, dependencies, conflicts and recommendations): one variable
+per unit, in document order, plus derived per-name variables for the
+objective counts.  The criteria are read back from the ``criterion``
+facts and optimized one at a time, most significant first; each level
+is tightened by a descending bound until the solver reports the bound
+unreachable, then frozen at its optimum while the next level runs.  For
+tiny universes :func:`brute_force` grinds through every subset and is
+the final word in disagreements.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import monotonic
-from typing import Mapping
 
-from .closure import ClosureResult, compute_closure, full_scope
-from .criteria import CriteriaSeq, Criterion, Polarity
+from .closure import compute_closure, full_scope
+from .criteria import CriteriaSeq, Criterion, Polarity, SignedCriterion
 from .errors import ScopeTooLarge
-from .facts import generate
+from .facts import FactSet, generate
 from .model import CudfDocument, PackageId
 from .sat import Result, Solver
 from .semantics import DocIndex, ObjectiveVector, evaluate, validate_solution
@@ -51,45 +51,9 @@ class SolveOutcome:
     solution: Solution | None = None
 
 
-@dataclass(frozen=True)
-class Problem:
-    """A compiled instance: candidates plus provider-set constraints."""
-
-    candidates: tuple[PackageId, ...]
-    installed: frozenset[PackageId]
-    requests: tuple[frozenset[PackageId], ...]
-    depends: tuple[tuple[PackageId, frozenset[PackageId]], ...]
-    conflicts: tuple[tuple[PackageId, frozenset[PackageId]], ...]
-    recommends: tuple[tuple[PackageId, frozenset[PackageId], int], ...]
-    index: DocIndex
-    newest: Mapping[str, int] = field(default_factory=dict)
-    criteria: CriteriaSeq = field(default_factory=lambda: CriteriaSeq(()))
-
-
-def build_problem(
-    doc: CudfDocument,
-    criteria: CriteriaSeq,
-    closure: ClosureResult,
-    *,
-    _index: DocIndex | None = None,
-) -> Problem:
-    """Compile a document into solver form, restricted to the closure."""
-    index = _index if _index is not None else DocIndex(doc)
-    facts = generate(doc, criteria, closure, _index=index)
-    members = facts.members
-    return Problem(
-        candidates=tuple(desc.id for desc in doc if desc.id in facts.units),
-        installed=facts.installed,
-        requests=tuple(members[sid] for sid in facts.requests),
-        depends=tuple((pid, members[sid]) for pid, sid in facts.depends),
-        conflicts=tuple((pid, members[sid]) for pid, sid in facts.conflicts),
-        recommends=tuple(
-            (pid, members[sid], weight) for pid, sid, weight in facts.recommends
-        ),
-        index=index,
-        newest=facts.newest,
-        criteria=criteria,
-    )
+#: The solver reads the fact set itself, so compiling a problem is
+#: generating its facts; the older name stays public.
+build_problem = generate
 
 
 def solve_document(
@@ -106,35 +70,38 @@ def solve_document(
         shrunk = compute_closure(doc, criteria, _index=index)
     else:
         shrunk = full_scope(doc, _index=index)
-    problem = build_problem(doc, criteria, shrunk, _index=index)
-    return solve(problem, limits=limits)
-
-
-def solve(problem: Problem, *, limits: SolveLimits | None = None) -> SolveOutcome:
-    return _solve_cdcl(problem, limits if limits is not None else SolveLimits())
+    return solve(generate(doc, criteria, shrunk, _index=index), limits=limits)
 
 
 # ----------------------------------------------------------------------
 # propositional model
 
 
+def _candidates(facts: FactSet) -> tuple[PackageId, ...]:
+    """The units in document order, which is the solver's variable order."""
+    return tuple(desc.id for desc in facts.index.doc if desc.id in facts.units)
+
+
 def _build_model(
-    problem: Problem,
+    facts: FactSet,
+    candidates: tuple[PackageId, ...],
+    sig: tuple[SignedCriterion, ...],
 ) -> tuple[Solver, dict[PackageId, int], list[tuple[list[int], list[int]]]]:
     """Fresh solver with hard constraints plus per-criterion count literals."""
     solver = Solver()
-    installed = problem.installed
+    installed = facts.installed
+    members = facts.members
     invar: dict[PackageId, int] = {}
-    for pid in problem.candidates:
+    for pid in candidates:
         invar[pid] = solver.new_var(phase=pid in installed)
 
-    for members in problem.requests:
-        solver.add_clause([invar[q] for q in sorted(members)])
-    for pid, members in problem.depends:
-        solver.add_clause([-invar[pid]] + [invar[q] for q in sorted(members)])
+    for sid in facts.requests:
+        solver.add_clause([invar[q] for q in sorted(members[sid])])
+    for pid, sid in facts.depends:
+        solver.add_clause([-invar[pid]] + [invar[q] for q in sorted(members[sid])])
     seen_pairs: set[frozenset[PackageId]] = set()
-    for pid, members in problem.conflicts:
-        for enemy in sorted(members):
+    for pid, sid in facts.conflicts:
+        for enemy in sorted(members[sid]):
             pair = frozenset((pid, enemy))
             if pair in seen_pairs:
                 continue
@@ -142,7 +109,7 @@ def _build_model(
             solver.add_clause([-invar[pid], -invar[enemy]])
 
     by_name: dict[str, list[PackageId]] = {}
-    for pid in problem.candidates:
+    for pid in candidates:
         by_name.setdefault(pid.name, []).append(pid)
     o_names = {pid.name for pid in installed}
     o_versions: dict[str, set[int]] = {}
@@ -189,7 +156,7 @@ def _build_model(
     def outdated_lit(name: str) -> int | None:
         """``name`` installed but not at its newest version."""
         group = by_name[name]
-        top = PackageId(name, problem.newest[name])
+        top = PackageId(name, facts.newest[name])
         if top not in invar:
             return inn_lit(name)
         if group == [top]:
@@ -201,13 +168,13 @@ def _build_model(
         solver.add_clause([-inn, invar[top], y])
         return y
 
-    def violation_lit(pid: PackageId, members: frozenset[PackageId]) -> int | None:
+    def violation_lit(pid: PackageId, wanted: frozenset[PackageId]) -> int | None:
         """``pid`` installed with this recommendation unsatisfied."""
-        if pid in members:
+        if pid in wanted:
             return None
-        if not members:
+        if not wanted:
             return invar[pid]
-        member_lits = [invar[q] for q in sorted(members)]
+        member_lits = [invar[q] for q in sorted(wanted)]
         y = solver.new_var()
         solver.add_clause([-y, invar[pid]])
         for lit in member_lits:
@@ -216,7 +183,7 @@ def _build_model(
         return y
 
     terms: list[tuple[list[int], list[int]]] = []
-    for signed in problem.criteria.significance_first():
+    for signed in sig:
         lits: list[int] = []
         weights: list[int] = []
         crit = signed.criterion
@@ -243,8 +210,8 @@ def _build_model(
                     lits.append(lit)
                     weights.append(1)
         else:
-            for pid, members, weight in problem.recommends:
-                lit = violation_lit(pid, members)
+            for pid, sid, weight in facts.recommends:
+                lit = violation_lit(pid, members[sid])
                 if lit is not None:
                     lits.append(lit)
                     weights.append(weight)
@@ -252,11 +219,12 @@ def _build_model(
     return solver, invar, terms
 
 
-def model_stats(problem: Problem) -> dict[str, int]:
+def model_stats(facts: FactSet) -> dict[str, int]:
     """Size of the propositional model, without solving anything."""
-    solver, _, terms = _build_model(problem)
+    sig = CriteriaSeq.from_facts(facts.criteria).significance_first()
+    solver, _, terms = _build_model(facts, _candidates(facts), sig)
     return {
-        "candidates": len(problem.candidates),
+        "candidates": len(facts.units),
         "variables": solver.num_vars,
         "clauses": solver.num_clauses,
         "count_literals": sum(len(lits) for lits, _ in terms),
@@ -280,20 +248,30 @@ def _model_count(solver: Solver, lits: list[int], weights: list[int]) -> int:
     return sum(w for lit, w in zip(lits, weights) if solver.value(lit) == 1)
 
 
-def _solve_cdcl(problem: Problem, limits: SolveLimits) -> SolveOutcome:
+def solve(facts: FactSet, *, limits: SolveLimits | None = None) -> SolveOutcome:
+    """Optimize the criteria of ``facts``, most significant level first."""
+    limits = limits if limits is not None else SolveLimits()
     deadline = (
         monotonic() + limits.wall_clock if limits.wall_clock is not None else None
     )
     remaining = limits.max_steps
-    sig = problem.criteria.significance_first()
+    index = facts.index
+    criteria = CriteriaSeq.from_facts(facts.criteria)
+    candidates = _candidates(facts)
+    sig = criteria.significance_first()
     frozen: list[int | None] = [None] * len(sig)
     totals: list[int] = []
     best: frozenset[PackageId] | None = None
     counts: list[int] = []
 
+    def solution() -> Solution:
+        """The selection with its objective, as the referee measures it."""
+        assert best is not None
+        return Solution(best, evaluate(index.doc, best, criteria, _index=index))
+
     def attempt(level: int | None, bound: int | None) -> str:
         nonlocal remaining, best, counts
-        solver, invar, terms = _build_model(problem)
+        solver, invar, terms = _build_model(facts, candidates, sig)
         totals[:] = [sum(weights) for _, weights in terms]
         for i, fixed in enumerate(frozen):
             if fixed is not None:
@@ -332,20 +310,13 @@ def _solve_cdcl(problem: Problem, limits: SolveLimits) -> SolveOutcome:
                 bound = incumbent + 1
             status = attempt(level, bound)
             if status == "unknown":
-                return SolveOutcome(Status.TIMED_OUT, _solution(problem, best))
+                return SolveOutcome(Status.TIMED_OUT, solution())
             if status == "unsat":
                 break
             incumbent = counts[level]
         frozen[level] = incumbent
 
-    return SolveOutcome(Status.OPTIMAL, _solution(problem, best))
-
-
-def _solution(problem: Problem, best: frozenset[PackageId] | None) -> Solution:
-    """The selection with its objective, as the referee measures it."""
-    assert best is not None
-    index = problem.index
-    return Solution(best, evaluate(index.doc, best, problem.criteria, _index=index))
+    return SolveOutcome(Status.OPTIMAL, solution())
 
 
 # ----------------------------------------------------------------------

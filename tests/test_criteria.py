@@ -75,6 +75,13 @@ def test_has_and_polarity_of():
     assert PARANOID.polarity_of(Criterion.NEW) is None
 
 
+def test_criterion_facts_decode_to_the_same_sequence():
+    for text in ("paranoid", "trendy", "", "+new", "-removed,+notuptodate,-unsat_recommends"):
+        seq = parse_criteria(text)
+        assert CriteriaSeq.from_facts(seq.facts()) == seq
+        assert CriteriaSeq.from_facts(reversed(seq.facts())) == seq
+
+
 def test_fact_names():
     assert Criterion.NEW.fact_name == "newpackage"
     assert Criterion.REMOVED.fact_name == "remove"

@@ -12,6 +12,7 @@ from cudfsolve import (
     RelOp,
     VersionBound,
     generate_instance,
+    make_document,
     parse_document,
     parse_formula,
     render_document,
@@ -211,3 +212,99 @@ def test_parser_is_total_on_junk_bytes():
             parse_document(blob.decode("latin-1"))
         except ParseError:
             pass
+
+
+# Token pools for the structured fuzz below: tokens the parser accepts,
+# then ones it rejects (drawn rarely, so that most inputs still parse).
+_NAMES = (("a", "b", "b2", "lib.so", "g++", "-", "A", "1"), ("", "a b", "é", "!"))
+_VERSIONS = (("1", "2", "07", "4294967295"), ("0", "18446744073709551616", "x", "-1"))
+_OPS = (("=", "!=", ">=", ">", "<=", "<"), ("=>", "", "==", "<>"))
+_PROVIDE_OPS = (("=",), (">=", "|"))
+_FLAGS = (("true", "false"), ("yes", "", "True"))
+_KEEPS = (("version", "package", "feature", "none"), ("all", ""))
+_ODD_FORMULAS = ("true!", "false!", ",", "|", "a |", ", b", "")
+_PROPS = ("depends", "conflicts", "provides", "recommends", "installed", "keep", "x-extra")
+
+
+def _pick(rng, pool):
+    good, bad = pool
+    return rng.choice(bad if rng.random() < 0.03 else good)
+
+
+def _fuzz_formula(rng):
+    if rng.random() < 0.1:
+        return rng.choice(_ODD_FORMULAS)
+    clauses = []
+    for _ in range(1 + rng.randrange(3)):
+        atoms = []
+        for _ in range(1 + rng.randrange(2)):
+            atom = _pick(rng, _NAMES)
+            if rng.random() < 0.5:
+                atom += f" {_pick(rng, _OPS)} {_pick(rng, _VERSIONS)}"
+            atoms.append(atom)
+        clauses.append(" | ".join(atoms))
+    return ", ".join(clauses)
+
+
+def _fuzz_provides(rng):
+    entries = []
+    for _ in range(1 + rng.randrange(2)):
+        entry = _pick(rng, _NAMES)
+        if rng.random() < 0.5:
+            entry += f" {_pick(rng, _PROVIDE_OPS)} {_pick(rng, _VERSIONS)}"
+        entries.append(entry)
+    return ", ".join(entries)
+
+
+def _fuzz_document(rng):
+    """CUDF-shaped text built from near-valid tokens."""
+    stanzas = []
+    for _ in range(rng.randrange(4)):
+        lines = [f"package: {_pick(rng, _NAMES)}", f"version: {_pick(rng, _VERSIONS)}"]
+        for prop in rng.sample(_PROPS, rng.randrange(4)):
+            if prop == "installed":
+                value = _pick(rng, _FLAGS)
+            elif prop == "keep":
+                value = _pick(rng, _KEEPS)
+            elif prop == "provides":
+                value = _fuzz_provides(rng)
+            else:
+                value = _fuzz_formula(rng)
+            lines.append(f"{prop}: {value}")
+        stanzas.append("\n".join(lines))
+    if rng.random() < 0.8:
+        lines = ["request: "]
+        for prop in rng.sample(("install", "remove", "upgrade"), rng.randrange(4)):
+            lines.append(f"{prop}: {_fuzz_formula(rng)}")
+        stanzas.append("\n".join(lines))
+    return "\n\n".join(stanzas) + "\n"
+
+
+def test_parsed_documents_pass_make_document_unchanged():
+    # the parser builds documents without make_document, so every check
+    # make_document makes must already hold for what the parser accepts
+    for seed in range(1000):
+        doc = parse_document(
+            render_document(
+                generate_instance(
+                    seed,
+                    packages=5 + seed % 30,
+                    max_versions=1 + seed % 4,
+                    installed_fraction=(seed % 5) / 4,
+                    remove_requests=seed % 2,
+                )
+            )
+        )
+        assert make_document(doc.packages, doc.request) == doc, f"seed {seed}"
+
+    rng = random.Random(7)
+    accepted = rejected = 0
+    for _ in range(3000):
+        try:
+            doc = parse_document(_fuzz_document(rng))
+        except ParseError:
+            rejected += 1
+            continue
+        accepted += 1
+        assert make_document(doc.packages, doc.request) == doc
+    assert accepted > 1000 and rejected > 500

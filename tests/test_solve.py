@@ -9,8 +9,10 @@ from cudfsolve import (
     Status,
     brute_force,
     build_problem,
+    compute_closure,
     evaluate,
     full_scope,
+    generate_facts,
     generate_instance,
     model_stats,
     parse_criteria,
@@ -106,6 +108,23 @@ def test_solutions_match_brute_force_on_small_instances():
     assert not mismatches
 
 
+def test_maximized_criteria_match_brute_force():
+    # the solver reads each level's sign back from the criterion facts
+    criteria = parse_criteria("-removed,+new")
+    checked = 0
+    for seed in range(15):
+        doc = generate_instance(4000 + seed, packages=3 + seed % 6, installed_fraction=0.5)
+        try:
+            outcome = solve_document(doc, criteria)
+        except InfeasibleInput:
+            continue
+        oracle = brute_force(doc, criteria)
+        got = None if outcome.solution is None else outcome.solution.objective.key()
+        assert got == (None if oracle is None else oracle.objective.key()), seed
+        checked += got is not None
+    assert checked > 5
+
+
 def test_closure_does_not_change_the_answer():
     for seed in range(20):
         doc = generate_instance(2000 + seed, packages=20, installed_fraction=0.4)
@@ -142,8 +161,19 @@ def test_reported_objective_agrees_with_the_referee():
     outcome = solve(problem, limits=SolveLimits(max_steps=1, wall_clock=None))
     assert outcome.status is Status.TIMED_OUT
     assert outcome.solution.objective == evaluate(
-        problem.index.doc, outcome.solution.installed, problem.criteria
+        problem.index.doc, outcome.solution.installed, parse_criteria("-new")
     )
+
+
+def test_solver_reads_the_printed_fact_set(scenario_doc):
+    assert build_problem is generate_facts
+    for criteria in (PARANOID, TRENDY):
+        facts = generate_facts(scenario_doc, criteria, compute_closure(scenario_doc, criteria))
+        direct = solve(facts)
+        whole = solve_document(scenario_doc, criteria)
+        assert direct.status is whole.status is Status.OPTIMAL
+        assert direct.solution.installed == whole.solution.installed
+        assert direct.solution.objective == whole.solution.objective
 
 
 def test_empty_criteria_returns_any_valid_solution(scenario_doc):
