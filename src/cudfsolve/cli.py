@@ -54,7 +54,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     common(p_solve)
     p_solve.add_argument(
         "--timeout",
-        type=float,
+        type=_seconds,
         default=300.0,
         help="wall-clock budget in seconds (default 300)",
     )
@@ -83,6 +83,17 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--upgrade-requests", type=int, default=1)
     p_gen.add_argument("--remove-requests", type=int, default=0)
     return parser
+
+
+def _seconds(text: str) -> float:
+    """Parse ``--timeout``: zero or more seconds, never NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value >= 0:  # NaN compares false, and would switch the deadline off
+        raise argparse.ArgumentTypeError(f"expected seconds >= 0, got {text!r}")
+    return value
 
 
 def _read_input(path: str) -> str:
@@ -143,6 +154,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             _write(args.output, FAIL_LINE)
             return 0
         if outcome.solution is None:
+            if outcome.status is Status.TIMED_OUT:
+                print("timed out; no solution found", file=sys.stderr)
             _write(args.output, FAIL_LINE)
             return 0
         if outcome.status is Status.TIMED_OUT:

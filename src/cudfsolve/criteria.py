@@ -26,10 +26,6 @@ class Criterion(enum.Enum):
     UNSAT_RECOMMENDS = "unsat_recommends"
 
     @property
-    def cli_name(self) -> str:
-        return self.value
-
-    @property
     def fact_name(self) -> str:
         return _FACT_NAMES[self]
 
@@ -59,7 +55,7 @@ class SignedCriterion:
     polarity: Polarity
 
     def __str__(self) -> str:
-        return f"{self.polarity.value}{self.criterion.cli_name}"
+        return f"{self.polarity.value}{self.criterion.value}"
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ class CriteriaSeq:
         seen: set[Criterion] = set()
         for item in self.items:
             if item.criterion in seen:
-                raise BadCriteria(f"criterion repeated: {item.criterion.cli_name}")
+                raise BadCriteria(f"criterion repeated: {item.criterion.value}")
             seen.add(item.criterion)
 
     def __len__(self) -> int:

@@ -27,12 +27,8 @@ class SetId:
 
     ordinal: int
 
-    @property
-    def token(self) -> str:
-        return f"s{self.ordinal}"
-
     def __str__(self) -> str:
-        return self.token
+        return f"s{self.ordinal}"
 
 
 class SetInterner:

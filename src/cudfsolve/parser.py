@@ -151,7 +151,6 @@ class _Stanza:
         self.line = line
         self.props: dict[str, str] = {}
         self.lines: dict[str, int] = {}
-        self.order: list[str] = []
 
 
 def _split_stanzas(text: str) -> Iterable[_Stanza]:
@@ -186,7 +185,6 @@ def _split_stanzas(text: str) -> Iterable[_Stanza]:
             )
         stanza.props[key] = value
         stanza.lines[key] = lineno
-        stanza.order.append(key)
         last_key = key
     if stanza is not None:
         yield stanza
@@ -245,7 +243,7 @@ def _package_from_stanza(stanza: _Stanza, warn: WarnSink | None) -> PackageDesc:
                 f"keep must be one of version/package/feature/none, got {props['keep']!r}",
             )
 
-    for key in stanza.order:
+    for key in stanza.props:
         if key in _PACKAGE_PROPS:
             continue
         if key in _REQUEST_PROPS:
@@ -275,7 +273,7 @@ def _request_from_stanza(stanza: _Stanza, warn: WarnSink | None) -> Request:
             parts[prop] = _parse_formula(stanza.props[prop], stanza.lines[prop])
         else:
             parts[prop] = model.TRUE_FORMULA
-    for key in stanza.order:
+    for key in stanza.props:
         if key in _REQUEST_PROPS:
             continue
         if key in _PACKAGE_PROPS:
@@ -299,7 +297,7 @@ def parse_document(text: str, warn: WarnSink | None = None) -> CudfDocument:
     seen: dict[PackageId, int] = {}
     request: Request | None = None
     for stanza in _split_stanzas(text):
-        opener = stanza.order[0]
+        opener = next(iter(stanza.props))
         if opener == "preamble":
             continue
         if opener == "package":

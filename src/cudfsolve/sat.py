@@ -3,7 +3,9 @@
 Purpose-built for the package solver: besides plain clauses it
 supports weighted at-most bounds ("at most 3 of these literals"),
 which is how objective tightening is expressed without blowing the
-formula up into adder circuits.  Everything is deterministic — ties in
+formula up into adder circuits.  Both kinds may be added between two
+searches, so a bound can be tightened in a live solver that keeps its
+learned clauses.  Everything is deterministic — ties in
 the decision heuristic break on variable index — so repeated runs
 produce identical models.
 
@@ -83,9 +85,10 @@ class Solver:
         return v if lit > 0 else -v
 
     def add_clause(self, lits: Iterable[int]) -> None:
-        """Add a clause; only valid before search, at decision level 0."""
+        """Add a clause, before search or between two searches."""
         if not self.ok:
             return
+        self._backtrack(0)  # judge the literals by the root assignment alone
         seen: set[int] = set()
         out: list[int] = []
         for lit in lits:
@@ -108,9 +111,13 @@ class Solver:
         self.watches.setdefault(out[1], []).append(out)
 
     def add_atmost(self, lits: Sequence[int], weights: Sequence[int], bound: int) -> None:
-        """Require the true literals among ``lits`` to weigh at most ``bound``."""
+        """Require the true literals among ``lits`` to weigh at most ``bound``.
+
+        Like :meth:`add_clause`, valid before search or between searches.
+        """
         if not self.ok:
             return
+        self._backtrack(0)
         merged: dict[int, int] = {}
         for lit, weight in zip(lits, weights):
             merged[lit] = merged.get(lit, 0) + weight
@@ -327,6 +334,7 @@ class Solver:
         max_conflicts: int | None = None,
         deadline: float | None = None,
     ) -> Result:
+        """UNKNOWN once this call meets ``max_conflicts`` conflicts or ``deadline``."""
         if not self.ok:
             return Result.UNSAT
         if deadline is not None and monotonic() > deadline:
@@ -340,6 +348,7 @@ class Solver:
         restart_unit = 64
         luby_index = 1
         next_restart = self.conflicts + restart_unit * _luby(luby_index)
+        give_up = None if max_conflicts is None else self.conflicts + max_conflicts
 
         while True:
             conflict = self._propagate()
@@ -354,7 +363,7 @@ class Solver:
                 if not self.ok:
                     return Result.UNSAT
                 self.var_inc *= _DECAY
-                if max_conflicts is not None and self.conflicts >= max_conflicts:
+                if give_up is not None and self.conflicts >= give_up:
                     return Result.UNKNOWN
                 if deadline is not None and self.conflicts % 128 == 0:
                     if monotonic() > deadline:

@@ -194,7 +194,7 @@ class ObjectiveValue:
     count: int
 
     def __str__(self) -> str:
-        return f"{self.polarity.value}{self.criterion.cli_name}={self.count}"
+        return f"{self.polarity.value}{self.criterion.value}={self.count}"
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,12 @@ The propositional model is built from the fact set that
 requests, dependencies, conflicts and recommendations): one variable
 per unit, in document order, plus derived per-name variables for the
 objective counts.  The criteria are read back from the ``criterion``
-facts and optimized one at a time, most significant first; each level
-is tightened by a descending bound until the solver reports the bound
-unreachable, then frozen at its optimum while the next level runs.  For
-tiny universes :func:`brute_force` grinds through every subset and is
+facts and optimized one at a time, most significant first.  Each level
+runs in one live solver: every model it finds adds the next tighter
+bound in place, learned clauses kept, until the solver reports the
+bound unreachable.  That proves the level's optimum, and the next level
+starts from a fresh build held to the optima found so far.  For tiny
+universes :func:`brute_force` grinds through every subset and is
 the final word in disagreements.
 """
 
@@ -87,7 +89,7 @@ def _build_model(
     candidates: tuple[PackageId, ...],
     sig: tuple[SignedCriterion, ...],
 ) -> tuple[Solver, dict[PackageId, int], list[tuple[list[int], list[int]]]]:
-    """Fresh solver with hard constraints plus per-criterion count literals."""
+    """Fresh solver with hard constraints plus, per level, the literals it minimizes."""
     solver = Solver()
     installed = facts.installed
     members = facts.members
@@ -215,6 +217,8 @@ def _build_model(
                 if lit is not None:
                     lits.append(lit)
                     weights.append(weight)
+        if signed.polarity is Polarity.PLUS:  # maximize by minimizing the false literals
+            lits = [-lit for lit in lits]
         terms.append((lits, weights))
     return solver, invar, terms
 
@@ -231,23 +235,6 @@ def model_stats(facts: FactSet) -> dict[str, int]:
     }
 
 
-def _add_bound(
-    solver: Solver,
-    lits: list[int],
-    weights: list[int],
-    polarity: Polarity,
-    bound: int,
-) -> None:
-    if polarity is Polarity.MINUS:
-        solver.add_atmost(lits, weights, bound)
-    else:  # count >= bound, i.e. at most (total - bound) literals false
-        solver.add_atmost([-lit for lit in lits], weights, sum(weights) - bound)
-
-
-def _model_count(solver: Solver, lits: list[int], weights: list[int]) -> int:
-    return sum(w for lit, w in zip(lits, weights) if solver.value(lit) == 1)
-
-
 def solve(facts: FactSet, *, limits: SolveLimits | None = None) -> SolveOutcome:
     """Optimize the criteria of ``facts``, most significant level first."""
     limits = limits if limits is not None else SolveLimits()
@@ -259,8 +246,6 @@ def solve(facts: FactSet, *, limits: SolveLimits | None = None) -> SolveOutcome:
     criteria = CriteriaSeq.from_facts(facts.criteria)
     candidates = _candidates(facts)
     sig = criteria.significance_first()
-    frozen: list[int | None] = [None] * len(sig)
-    totals: list[int] = []
     best: frozenset[PackageId] | None = None
     counts: list[int] = []
 
@@ -269,52 +254,41 @@ def solve(facts: FactSet, *, limits: SolveLimits | None = None) -> SolveOutcome:
         assert best is not None
         return Solution(best, evaluate(index.doc, best, criteria, _index=index))
 
-    def attempt(level: int | None, bound: int | None) -> str:
+    def search() -> Result:
+        """Solve within what is left of the budget; a model becomes the incumbent."""
         nonlocal remaining, best, counts
-        solver, invar, terms = _build_model(facts, candidates, sig)
-        totals[:] = [sum(weights) for _, weights in terms]
-        for i, fixed in enumerate(frozen):
-            if fixed is not None:
-                _add_bound(solver, *terms[i], sig[i].polarity, fixed)
-        if level is not None:
-            assert bound is not None
-            _add_bound(solver, *terms[level], sig[level].polarity, bound)
-        budget = remaining if remaining is None or remaining > 0 else 0
-        result = solver.solve(max_conflicts=budget, deadline=deadline)
+        before = solver.conflicts
+        result = solver.solve(max_conflicts=remaining, deadline=deadline)
         if remaining is not None:
-            remaining -= solver.conflicts
+            remaining = max(remaining - (solver.conflicts - before), 0)
         if result is Result.SAT:
             best = frozenset(p for p, var in invar.items() if solver.assign[var] == 1)
-            counts = [_model_count(solver, *term) for term in terms]
-            return "sat"
-        if result is Result.UNSAT:
-            return "unsat"
-        return "unknown"
+            counts = [
+                sum(w for lit, w in zip(lits, weights) if solver.value(lit) == 1)
+                for lits, weights in terms
+            ]
+        return result
 
-    status = attempt(None, None)
-    if status == "unsat":
+    solver, invar, terms = _build_model(facts, candidates, sig)
+    result = search()
+    if result is Result.UNSAT:
         return SolveOutcome(Status.UNSATISFIABLE)
-    if status == "unknown":
+    if result is Result.UNKNOWN:
         return SolveOutcome(Status.TIMED_OUT)
 
-    for level, signed in enumerate(sig):
-        incumbent = counts[level]
-        while True:
-            if signed.polarity is Polarity.MINUS:
-                if incumbent <= 0:
-                    break
-                bound = incumbent - 1
-            else:
-                if incumbent >= totals[level]:
-                    break
-                bound = incumbent + 1
-            status = attempt(level, bound)
-            if status == "unknown":
+    for level in range(len(sig)):
+        if level > 0 and counts[level] > 0:
+            # a fresh solver, held to the optima of the earlier levels
+            solver, invar, terms = _build_model(facts, candidates, sig)
+            for (lits, weights), optimum in zip(terms, counts[:level]):
+                solver.add_atmost(lits, weights, optimum)
+        while counts[level] > 0:
+            solver.add_atmost(*terms[level], counts[level] - 1)
+            result = search()
+            if result is Result.UNKNOWN:
                 return SolveOutcome(Status.TIMED_OUT, solution())
-            if status == "unsat":
+            if result is Result.UNSAT:
                 break
-            incumbent = counts[level]
-        frozen[level] = incumbent
 
     return SolveOutcome(Status.OPTIMAL, solution())
 

@@ -61,6 +61,30 @@ def test_solve_infeasible_prints_fail(capsys, tmp_path):
     assert code == 0 and out == "FAIL\n"
 
 
+def test_solve_unsatisfiable_prints_fail_and_nothing_else(capsys, tmp_path):
+    path = tmp_path / "clash.cudf"
+    path.write_text(
+        "package: a\nversion: 1\ndepends: b\n\n"
+        "package: b\nversion: 1\nconflicts: a\n\n"
+        "request: \ninstall: a\n"
+    )
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out, err) == (0, "FAIL\n", "")
+
+
+def test_solve_timeout_before_any_model_says_so(capsys, scenario_path):
+    code, out, err = run_cli(capsys, "solve", scenario_path, "--timeout", "0")
+    assert (code, out, err) == (0, "FAIL\n", "timed out; no solution found\n")
+
+
+@pytest.mark.parametrize("seconds", ["-1", "-0.5", "nan", "NaN", "soon"])
+def test_bad_timeout_is_a_usage_error(capsys, scenario_path, seconds):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", scenario_path, f"--timeout={seconds}"])
+    assert info.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+
+
 def test_solve_no_closure_matches(capsys, scenario_path):
     _, narrow, err_narrow = run_cli(capsys, "solve", scenario_path)
     _, wide, err_wide = run_cli(capsys, "solve", scenario_path, "--no-closure")

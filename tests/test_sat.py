@@ -155,6 +155,36 @@ def test_conflict_budget_returns_unknown():
             for p2 in range(p1 + 1, 5):
                 s.add_clause([-(p1 * 4 + h + 1), -(p2 * 4 + h + 1)])
     assert s.solve(max_conflicts=1) is Result.UNKNOWN
+    assert s.conflicts == 1
+    # the budget counts the conflicts of this call only
+    assert s.solve(max_conflicts=5) is Result.UNKNOWN
+    assert s.conflicts == 6
+
+
+def test_bound_added_after_a_model_is_honoured():
+    s = Solver()
+    for _ in range(3):
+        s.new_var(phase=True)
+    s.add_clause([1, 2, 3])
+    assert s.solve() is Result.SAT
+    assert s.model()[1:] == [True, True, True]
+    s.add_atmost([1, 2, 3], [1, 1, 1], 1)
+    assert s.solve() is Result.SAT
+    assert sum(s.model()[1:]) == 1
+
+
+def test_clause_added_after_a_model_is_honoured():
+    s = Solver()
+    for _ in range(3):
+        s.new_var(phase=True)
+    s.add_clause([1, 2, 3])
+    assert s.solve() is Result.SAT
+    s.add_clause([-1])
+    s.add_clause([-2])
+    assert s.solve() is Result.SAT
+    assert s.model()[1:] == [False, False, True]
+    s.add_clause([-3])
+    assert s.solve() is Result.UNSAT
 
 
 def test_expired_deadline_is_noticed_up_front():

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from cudfsolve import (
@@ -21,6 +23,7 @@ from cudfsolve import (
     solve_document,
     validate_solution,
 )
+from cudfsolve.sat import Solver
 
 PARANOID = parse_criteria("paranoid")
 TRENDY = parse_criteria("trendy")
@@ -205,6 +208,56 @@ def test_budget_exhaustion_keeps_the_incumbent():
     # ran out of budget, so we keep what we have
     assert outcome.solution is not None
     assert outcome.solution.objective.key() == (7,)
+
+
+def count_calls(monkeypatch, owner, name, tally):
+    """Wrap ``owner.name`` so that ``tally`` records each call."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        tally.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_step_budget_caps_the_conflicts_of_the_whole_solve(monkeypatch):
+    doc = generate_instance(7, packages=120, installed_fraction=0.5)
+    used = []
+    original = Solver.solve
+
+    def counting(self, **kwargs):
+        before = self.conflicts
+        result = original(self, **kwargs)
+        used.append(self.conflicts - before)
+        return result
+
+    monkeypatch.setattr(Solver, "solve", counting)
+    solve_document(doc, TRENDY)
+    assert sum(used) > 21 and len(used) > 2  # the budgets below bind
+    for steps in (0, 1, 5, 20):
+        used.clear()
+        solve_document(doc, TRENDY, limits=SolveLimits(max_steps=steps, wall_clock=None))
+        assert sum(used) <= steps + 1, (steps, used)
+
+
+def test_one_model_build_per_criterion_level(monkeypatch, scenario_doc):
+    module = importlib.import_module("cudfsolve.solve")
+    builds, searches = [], []
+    count_calls(monkeypatch, module, "_build_model", builds)
+    count_calls(monkeypatch, Solver, "solve", searches)
+    docs = [scenario_doc] + [
+        generate_instance(seed, packages=120, installed_fraction=0.5) for seed in (0, 7)
+    ]
+    for doc in docs:
+        builds.clear()
+        outcome = solve_document(doc, TRENDY)
+        assert outcome.status is Status.OPTIMAL
+        assert 1 <= len(builds) <= len(TRENDY)
+    assert len(searches) > 3 * len(TRENDY)  # many bound steps, few builds
+    builds.clear()
+    assert solve_document(scenario_doc, CriteriaSeq(())).status is Status.OPTIMAL
+    assert len(builds) == 1
 
 
 def test_brute_force_refuses_large_scopes():
