@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from time import monotonic
 
 from .closure import compute_closure, full_scope
 from .criteria import parse_criteria
@@ -118,6 +119,7 @@ def run(args: argparse.Namespace) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    started = monotonic()  # --timeout covers reading and indexing too
     if args.command == "gen":
         doc = generate_instance(
             args.seed,
@@ -146,7 +148,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             outcome = solve_document(
                 doc,
                 criteria,
-                limits=SolveLimits(wall_clock=args.timeout),
+                limits=SolveLimits(wall_clock=args.timeout - (monotonic() - started)),
                 use_closure=not args.no_closure,
                 _index=index,
             )

@@ -4,19 +4,26 @@ Purpose-built for the package solver: besides plain clauses it
 supports weighted at-most bounds ("at most 3 of these literals"),
 which is how objective tightening is expressed without blowing the
 formula up into adder circuits.  Both kinds may be added between two
-searches, so a bound can be tightened in a live solver that keeps its
-learned clauses.  Everything is deterministic — ties in
-the decision heuristic break on variable index — so repeated runs
-produce identical models.
+searches, and :meth:`Solver.solve` takes assumptions, so one live
+solver serves a whole optimization: a bound guarded by an assumed
+literal can be tightened step after step and retracted when it proves
+unreachable, with learned clauses kept throughout.  A bound added after
+a model keeps the part of the trail that does not break it, and the
+next search with the same assumptions continues from there instead of
+from the root.  Everything is deterministic — ties in the decision
+heuristic break on variable index — so repeated runs produce identical
+models.
 
 Literals are signed integers (variable ``v`` appears as ``v`` and
-``-v``); variables are numbered from 1.
+``-v``); variables are numbered from 1.  Per-literal arrays are
+addressed by the signed literal itself: ``-v`` lands in the upper half
+through Python's negative indexing.
 """
 
 from __future__ import annotations
 
 import enum
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from time import monotonic
 from typing import Iterable, Sequence
 
@@ -31,72 +38,95 @@ class Result(enum.Enum):
 
 
 class AtMost:
-    """Weighted bound: the true literals may weigh at most ``bound``."""
+    """Weighted bound: the true literals may weigh at most ``bound``.
 
-    __slots__ = ("lits", "weights", "bound", "true_weight", "wmax")
+    The literals are stored heaviest first, so a scan for the literals
+    that no longer fit stops at the first one that does.
+    """
 
-    def __init__(self, lits: list[int], weights: list[int], bound: int) -> None:
-        self.lits = lits
-        self.weights = weights
+    __slots__ = ("lits", "weights", "bound", "true_weight")
+
+    def __init__(self, weighted: dict[int, int], bound: int) -> None:
+        heaviest_first = sorted(weighted.items(), key=lambda item: -item[1])
+        self.lits = [lit for lit, _ in heaviest_first]
+        self.weights = [weight for _, weight in heaviest_first]
         self.bound = bound
         self.true_weight = 0
-        self.wmax = max(weights) if weights else 0
 
 
 class Solver:
     def __init__(self) -> None:
         self.ok = True
+        self.num_vars = 0
+        # indexed by signed literal, 2 * capacity + 1 entries (entry 0 unused)
+        self._capacity = 0
+        self.lval: list[int] = [0]  # 0 free, 1 true, -1 false
+        self.watches: list[list[list[int]]] = [[]]
+        self.card_occur: list[list[tuple[AtMost, int]]] = [[]]
         # indexed by variable (entry 0 unused)
-        self.assign: list[int] = [0]  # 0 free, 1 true, -1 false
         self.level: list[int] = [0]
         self.reason: list[object] = [None]
         self.trail_pos: list[int] = [0]
-        self.phase: list[bool] = [False]
+        self.saved: list[int] = [0]  # the literal a decision on this variable picks
         self.activity: list[float] = [0.0]
+        self.in_heap: list[bool] = [False]  # has an entry keyed by its activity
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: dict[int, list[list[int]]] = {}
-        self.card_occur: dict[int, list[tuple[AtMost, int]]] = {}
-        self.atmosts: list[AtMost] = []
         self.num_clauses = 0
         self.var_inc = 1.0
         self.heap: list[tuple[float, int]] = []
         self.conflicts = 0
+        self.decisions = 0
+        self._assumptions: tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
     # building
 
     def new_var(self, phase: bool = False) -> int:
-        self.assign.append(0)
+        v = self.num_vars + 1
+        if v > self._capacity:
+            self._grow(max(16, 2 * self._capacity))
+        self.num_vars = v
         self.level.append(0)
         self.reason.append(None)
         self.trail_pos.append(0)
-        self.phase.append(phase)
+        self.saved.append(v if phase else -v)
         self.activity.append(0.0)
-        return len(self.assign) - 1
+        self.in_heap.append(True)
+        heappush(self.heap, (-0.0, v))
+        return v
 
-    @property
-    def num_vars(self) -> int:
-        return len(self.assign) - 1
+    def _grow(self, capacity: int) -> None:
+        """Widen the literal-indexed arrays to ``capacity`` variables.
+
+        The new slots go between the positive and the negative half, so
+        every existing literal keeps its index.
+        """
+        middle = self._capacity + 1
+        extra = 2 * (capacity - self._capacity)
+        self.lval[middle:middle] = [0] * extra
+        self.watches[middle:middle] = [[] for _ in range(extra)]
+        self.card_occur[middle:middle] = [[] for _ in range(extra)]
+        self._capacity = capacity
 
     def value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
+        return self.lval[lit]
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause, before search or between two searches."""
         if not self.ok:
             return
         self._backtrack(0)  # judge the literals by the root assignment alone
+        lval = self.lval
         seen: set[int] = set()
         out: list[int] = []
         for lit in lits:
             if lit in seen:
                 continue
-            if -lit in seen or self.value(lit) == 1:
+            if -lit in seen or lval[lit] == 1:
                 return  # tautology or already satisfied
-            if self.value(lit) == -1:
+            if lval[lit] == -1:
                 continue  # can never help
             seen.add(lit)
             out.append(lit)
@@ -107,135 +137,175 @@ class Solver:
             self._enqueue(out[0], None)
             return
         self.num_clauses += 1
-        self.watches.setdefault(out[0], []).append(out)
-        self.watches.setdefault(out[1], []).append(out)
+        self.watches[out[0]].append(out)
+        self.watches[out[1]].append(out)
 
     def add_atmost(self, lits: Sequence[int], weights: Sequence[int], bound: int) -> None:
         """Require the true literals among ``lits`` to weigh at most ``bound``.
 
-        Like :meth:`add_clause`, valid before search or between searches.
+        Valid before search or between searches.  Literals fixed at the
+        root are folded into the bound.  The rest of the assignment is
+        kept where it honours the bound: when it does not, the solver
+        backtracks only to just below the level at which the true
+        literals first weigh too much, and the literals the bound then
+        forces false are enqueued with it as their reason.  A literal
+        heavier than the whole bound is forced false at the root.
         """
         if not self.ok:
             return
-        self._backtrack(0)
+        lval, level = self.lval, self.level
         merged: dict[int, int] = {}
         for lit, weight in zip(lits, weights):
             merged[lit] = merged.get(lit, 0) + weight
-        total = 0
         kept: dict[int, int] = {}
         for lit, weight in merged.items():
-            value = self.value(lit)
-            if value == 1:
-                bound -= weight
-            elif value == 0:
+            if lval[lit] != 0 and level[abs(lit)] == 0:
+                if lval[lit] == 1:
+                    bound -= weight
+            else:
                 kept[lit] = weight
-                total += weight
         if bound < 0:
             self.ok = False
             return
-        for lit, weight in list(kept.items()):
-            if weight > bound:
-                self._enqueue(-lit, None)
-                if not self.ok:
-                    return
-                total -= weight
+        heavy = [lit for lit, weight in kept.items() if weight > bound]
+        if heavy:
+            self._backtrack(0)
+            for lit in heavy:
                 del kept[lit]
-        if total <= bound:
+                if not self._enqueue(-lit, None):
+                    return
+        if sum(kept.values()) <= bound:
             return  # can never trip
-        constraint = AtMost(list(kept), [kept[l] for l in kept], bound)
-        self.atmosts.append(constraint)
+        constraint = AtMost(kept, bound)
         for lit, weight in kept.items():
-            self.card_occur.setdefault(lit, []).append((constraint, weight))
+            self.card_occur[lit].append((constraint, weight))
+            if lval[lit] == 1:
+                constraint.true_weight += weight
+        if constraint.true_weight > bound:
+            running = 0
+            for lit_level, weight in sorted(
+                (level[abs(lit)], weight) for lit, weight in kept.items() if lval[lit] == 1
+            ):
+                running += weight
+                if running > bound:
+                    break
+            if lit_level == 0:
+                self.ok = False
+                return
+            self._backtrack(lit_level - 1)
+        slack = bound - constraint.true_weight
+        for lit, weight in zip(constraint.lits, constraint.weights):
+            if weight <= slack:
+                break
+            if lval[lit] == 0:
+                self._enqueue(-lit, constraint)
 
     # ------------------------------------------------------------------
     # trail
 
     def _enqueue(self, lit: int, reason: object) -> bool:
-        value = self.value(lit)
-        if value == 1:
-            return True
-        if value == -1:
+        lval = self.lval
+        if lval[lit]:
+            if lval[lit] == 1:
+                return True
             if not self.trail_lim:
                 self.ok = False
             return False
-        v = abs(lit)
-        self.assign[v] = 1 if lit > 0 else -1
+        v = lit if lit > 0 else -lit
+        lval[lit] = 1
+        lval[-lit] = -1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail_pos[v] = len(self.trail)
-        self.phase[v] = lit > 0
+        self.saved[v] = lit
         self.trail.append(lit)
         # counters move with the assignment so that backtracking stays
         # symmetric even for literals that never reach the queue head
-        for constraint, weight in self.card_occur.get(lit, ()):
+        for constraint, weight in self.card_occur[lit]:
             constraint.true_weight += weight
         return True
 
     def _backtrack(self, target: int) -> None:
-        while len(self.trail_lim) > target:
-            until = self.trail_lim.pop()
-            while len(self.trail) > until:
-                lit = self.trail.pop()
-                for constraint, weight in self.card_occur.get(lit, ()):
-                    constraint.true_weight -= weight
-                v = abs(lit)
-                self.assign[v] = 0
-                self.reason[v] = None
-                heappush(self.heap, (-self.activity[v], v))
-            self.qhead = min(self.qhead, len(self.trail))
+        if len(self.trail_lim) <= target:
+            return
+        lval, card_occur, reason = self.lval, self.card_occur, self.reason
+        in_heap, activity, heap = self.in_heap, self.activity, self.heap
+        until = self.trail_lim[target]
+        del self.trail_lim[target:]
+        trail = self.trail
+        for i in range(len(trail) - 1, until - 1, -1):
+            lit = trail[i]
+            for constraint, weight in card_occur[lit]:
+                constraint.true_weight -= weight
+            lval[lit] = lval[-lit] = 0
+            v = lit if lit > 0 else -lit
+            reason[v] = None
+            if not in_heap[v]:
+                in_heap[v] = True
+                heappush(heap, (-activity[v], v))
+        del trail[until:]
+        self.qhead = min(self.qhead, until)
 
     # ------------------------------------------------------------------
     # propagation
 
     def _propagate(self) -> list[int] | None:
         """Run to fixpoint; returns a falsified clause on conflict."""
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
+        lval, trail, watches, card_occur = self.lval, self.trail, self.watches, self.card_occur
+        enqueue = self._enqueue
+        while self.qhead < len(trail):
+            p = trail[self.qhead]
             self.qhead += 1
 
-            for constraint, _ in self.card_occur.get(p, ()):
+            for constraint, _ in card_occur[p]:
                 slack = constraint.bound - constraint.true_weight
                 if slack < 0:
                     return self._card_conflict(constraint)
-                if constraint.wmax > slack:
-                    for lit, w in zip(constraint.lits, constraint.weights):
-                        if w > slack and self.value(lit) == 0:
-                            self._enqueue(-lit, constraint)
+                for lit, w in zip(constraint.lits, constraint.weights):
+                    if w <= slack:
+                        break
+                    if lval[lit] == 0:
+                        enqueue(-lit, constraint)
 
-            ws = self.watches.get(-p)
+            false_lit = -p
+            ws = watches[false_lit]
             if not ws:
                 continue
             kept: list[list[int]] = []
             conflict: list[int] | None = None
             for i, clause in enumerate(ws):
-                if clause[0] == -p:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self.value(first) == 1:
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                if lval[first] == 1:
                     kept.append(clause)
                     continue
                 for k in range(2, len(clause)):
-                    if self.value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(clause[1], []).append(clause)
+                    other = clause[k]
+                    if lval[other] != -1:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watches[other].append(clause)
                         break
                 else:
                     kept.append(clause)
-                    if self.value(first) == -1:
+                    if lval[first] == -1:
                         conflict = clause
                         kept.extend(ws[i + 1 :])
                         break
-                    self._enqueue(first, clause)
-            self.watches[-p] = kept
+                    enqueue(first, clause)
+            watches[false_lit] = kept
             if conflict is not None:
                 return conflict
         return None
 
     def _card_conflict(self, constraint: AtMost) -> list[int]:
+        lval, trail_pos = self.lval, self.trail_pos
         culprits: list[tuple[int, int, int]] = []  # (trail position, lit, weight)
         for lit, weight in zip(constraint.lits, constraint.weights):
-            if self.value(lit) == 1:
-                culprits.append((self.trail_pos[abs(lit)], lit, weight))
+            if lval[lit] == 1:
+                culprits.append((trail_pos[abs(lit)], lit, weight))
         culprits.sort()
         total = 0
         chosen: list[int] = []
@@ -250,11 +320,12 @@ class Solver:
         """The falsified tail of the clause that implied ``lit``."""
         reason = self.reason[abs(lit)]
         if isinstance(reason, AtMost):
-            cutoff = self.trail_pos[abs(lit)]
+            lval, trail_pos = self.lval, self.trail_pos
+            cutoff = trail_pos[abs(lit)]
             return [
                 -other
                 for other in reason.lits
-                if self.value(other) == 1 and self.trail_pos[abs(other)] < cutoff
+                if lval[other] == 1 and trail_pos[abs(other)] < cutoff
             ]
         assert isinstance(reason, list)
         return [other for other in reason if other != lit]
@@ -263,35 +334,43 @@ class Solver:
     # learning
 
     def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > _RESCALE_LIMIT:
-            for i in range(1, len(self.activity)):
-                self.activity[i] *= 1e-100
+        activity = self.activity
+        activity[v] += self.var_inc
+        if activity[v] > _RESCALE_LIMIT:
+            for i in range(1, len(activity)):
+                activity[i] *= 1e-100
             self.var_inc *= 1e-100
-        heappush(self.heap, (-self.activity[v], v))
+            # every key just went stale: one entry per free variable
+            lval = self.lval
+            self.heap = [(-activity[u], u) for u in range(1, self.num_vars + 1) if lval[u] == 0]
+            heapify(self.heap)
+            self.in_heap = [False] + [lval[u] == 0 for u in range(1, self.num_vars + 1)]
+        elif self.in_heap[v]:
+            heappush(self.heap, (-activity[v], v))  # supersedes the stale entry
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        level, trail = self.level, self.trail
         current = len(self.trail_lim)
         seen = [False] * (self.num_vars + 1)
         learnt: list[int] = [0]
         counter = 0
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         reason_lits = conflict
         p = 0
         while True:
             for q in reason_lits:
-                v = abs(q)
-                if seen[v] or self.level[v] == 0:
+                v = q if q > 0 else -q
+                if seen[v] or level[v] == 0:
                     continue
                 seen[v] = True
                 self._bump(v)
-                if self.level[v] == current:
+                if level[v] == current:
                     counter += 1
                 else:
                     learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             idx -= 1
             counter -= 1
             if counter == 0:
@@ -301,60 +380,72 @@ class Solver:
         if len(learnt) == 1:
             return learnt, 0
         # move a literal of the backjump level into the watch slot
-        best = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
+        best = max(range(1, len(learnt)), key=lambda i: level[abs(learnt[i])])
         learnt[1], learnt[best] = learnt[best], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, level[abs(learnt[1])]
 
     def _learn(self, learnt: list[int]) -> None:
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)
             return
         self.num_clauses += 1
-        self.watches.setdefault(learnt[0], []).append(learnt)
-        self.watches.setdefault(learnt[1], []).append(learnt)
+        self.watches[learnt[0]].append(learnt)
+        self.watches[learnt[1]].append(learnt)
         self._enqueue(learnt[0], learnt)
 
     # ------------------------------------------------------------------
     # search
 
     def _pick_var(self) -> int | None:
-        while self.heap:
-            negact, v = heappop(self.heap)
-            if self.assign[v] != 0:
-                continue
-            if -negact != self.activity[v]:
-                heappush(self.heap, (-self.activity[v], v))
-                continue
-            return v
+        """The free variable of highest activity, lowest index on ties."""
+        heap, activity, lval, in_heap = self.heap, self.activity, self.lval, self.in_heap
+        while heap:
+            negact, v = heappop(heap)
+            if -negact != activity[v]:
+                continue  # stale: a later push carries the current key
+            in_heap[v] = False
+            if lval[v] == 0:
+                return v
         return None
 
     def solve(
         self,
         *,
+        assumptions: Sequence[int] = (),
         max_conflicts: int | None = None,
         deadline: float | None = None,
     ) -> Result:
-        """UNKNOWN once this call meets ``max_conflicts`` conflicts or ``deadline``."""
+        """Search for a model in which every literal of ``assumptions`` holds.
+
+        The assumptions are decided first, at levels 1, 2, ...  UNSAT
+        under assumptions leaves the solver usable (``ok`` stays true);
+        UNSAT with ``ok`` false means the formula itself is
+        unsatisfiable.  When the assumptions equal the previous call's,
+        the search continues from the current trail; otherwise it starts
+        from the root.  UNKNOWN once this call meets ``max_conflicts``
+        conflicts or ``deadline``, which is checked every 128 conflicts
+        and every 256 decisions.
+        """
         if not self.ok:
             return Result.UNSAT
         if deadline is not None and monotonic() > deadline:
             return Result.UNKNOWN
-        self._backtrack(0)
-        self.heap = []
-        for v in range(1, self.num_vars + 1):
-            if self.assign[v] == 0:
-                heappush(self.heap, (-self.activity[v], v))
+        assumptions = tuple(assumptions)
+        if assumptions != self._assumptions:
+            self._backtrack(0)
+            self._assumptions = assumptions
 
         restart_unit = 64
         luby_index = 1
         next_restart = self.conflicts + restart_unit * _luby(luby_index)
         give_up = None if max_conflicts is None else self.conflicts + max_conflicts
+        trail, trail_lim, lval = self.trail, self.trail_lim, self.lval
 
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self.conflicts += 1
-                if not self.trail_lim:
+                if not trail_lim:
                     self.ok = False
                     return Result.UNSAT
                 learnt, backjump = self._analyze(conflict)
@@ -373,16 +464,27 @@ class Solver:
                     next_restart = self.conflicts + restart_unit * _luby(luby_index)
                     self._backtrack(0)
                 continue
+            depth = len(trail_lim)
+            if depth < len(assumptions):
+                lit = assumptions[depth]
+                if lval[lit] == -1:
+                    return Result.UNSAT  # the assumptions contradict the formula
+                trail_lim.append(len(trail))  # an empty level when already true
+                self._enqueue(lit, None)
+                continue
             variable = self._pick_var()
             if variable is None:
                 return Result.SAT
-            self.trail_lim.append(len(self.trail))
-            lit = variable if self.phase[variable] else -variable
-            self._enqueue(lit, None)
+            self.decisions += 1
+            trail_lim.append(len(trail))
+            self._enqueue(self.saved[variable], None)
+            if deadline is not None and self.decisions % 256 == 0:
+                if monotonic() > deadline:
+                    return Result.UNKNOWN
 
     def model(self) -> list[bool]:
         """Truth value per variable (index 0 unused); call after SAT."""
-        return [value == 1 for value in self.assign]
+        return [value == 1 for value in self.lval[: self.num_vars + 1]]
 
 
 def _luby(i: int) -> int:

@@ -5,19 +5,22 @@ The propositional model is built from the fact set that
 requests, dependencies, conflicts and recommendations): one variable
 per unit, in document order, plus derived per-name variables for the
 objective counts.  The criteria are read back from the ``criterion``
-facts and optimized one at a time, most significant first.  Each level
-runs in one live solver: every model it finds adds the next tighter
-bound in place, learned clauses kept, until the solver reports the
-bound unreachable.  That proves the level's optimum, and the next level
-starts from a fresh build held to the optima found so far.  For tiny
-universes :func:`brute_force` grinds through every subset and is
-the final word in disagreements.
+facts and optimized one at a time, most significant first, all in one
+live solver built once per solve.  Every model a level finds adds the
+next tighter bound, guarded by the level's relax literal and searched
+under the assumption that the literal is false; the search goes on from
+the model's trail, and learned clauses are kept.  When the solver
+reports the guarded bound unreachable, that proves the level's optimum:
+the relax literal is fixed true, which retracts the guarded bounds, and
+a permanent bound holds the level at its optimum while the next levels
+improve.  For tiny universes :func:`brute_force` grinds through every
+subset and is the final word in disagreements.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import monotonic
 
 from .closure import compute_closure, full_scope
@@ -66,13 +69,22 @@ def solve_document(
     use_closure: bool = True,
     _index: DocIndex | None = None,
 ) -> SolveOutcome:
-    """Parse-to-answer convenience: shrink, compile, optimize."""
+    """Parse-to-answer convenience: shrink, compile, optimize.
+
+    The wall clock of ``limits`` covers the shrinking and compiling too.
+    """
+    started = monotonic()
+    limits = limits if limits is not None else SolveLimits()
     index = _index if _index is not None else DocIndex(doc)
     if use_closure:
         shrunk = compute_closure(doc, criteria, _index=index)
     else:
         shrunk = full_scope(doc, _index=index)
-    return solve(generate(doc, criteria, shrunk, _index=index), limits=limits)
+    facts = generate(doc, criteria, shrunk, _index=index)
+    if limits.wall_clock is not None:
+        # a spent budget goes negative, so the search stops before it starts
+        limits = replace(limits, wall_clock=limits.wall_clock - (monotonic() - started))
+    return solve(facts, limits=limits)
 
 
 # ----------------------------------------------------------------------
@@ -254,17 +266,20 @@ def solve(facts: FactSet, *, limits: SolveLimits | None = None) -> SolveOutcome:
         assert best is not None
         return Solution(best, evaluate(index.doc, best, criteria, _index=index))
 
-    def search() -> Result:
+    def search(*assumptions: int) -> Result:
         """Solve within what is left of the budget; a model becomes the incumbent."""
         nonlocal remaining, best, counts
         before = solver.conflicts
-        result = solver.solve(max_conflicts=remaining, deadline=deadline)
+        result = solver.solve(
+            assumptions=assumptions, max_conflicts=remaining, deadline=deadline
+        )
         if remaining is not None:
             remaining = max(remaining - (solver.conflicts - before), 0)
         if result is Result.SAT:
-            best = frozenset(p for p, var in invar.items() if solver.assign[var] == 1)
+            model = solver.model()
+            best = frozenset(p for p, var in invar.items() if model[var])
             counts = [
-                sum(w for lit, w in zip(lits, weights) if solver.value(lit) == 1)
+                sum(w for lit, w in zip(lits, weights) if model[abs(lit)] == (lit > 0))
                 for lits, weights in terms
             ]
         return result
@@ -276,19 +291,22 @@ def solve(facts: FactSet, *, limits: SolveLimits | None = None) -> SolveOutcome:
     if result is Result.UNKNOWN:
         return SolveOutcome(Status.TIMED_OUT)
 
-    for level in range(len(sig)):
-        if level > 0 and counts[level] > 0:
-            # a fresh solver, held to the optima of the earlier levels
-            solver, invar, terms = _build_model(facts, candidates, sig)
-            for (lits, weights), optimum in zip(terms, counts[:level]):
-                solver.add_atmost(lits, weights, optimum)
-        while counts[level] > 0:
-            solver.add_atmost(*terms[level], counts[level] - 1)
-            result = search()
-            if result is Result.UNKNOWN:
-                return SolveOutcome(Status.TIMED_OUT, solution())
-            if result is Result.UNSAT:
-                break
+    for level, (lits, weights) in enumerate(terms):
+        if counts[level] > 0:
+            # while -relax is assumed it weighs total - bound, leaving the
+            # level's literals ``bound``; fixing relax retracts the bound
+            relax = solver.new_var()
+            total = sum(weights)
+            while counts[level] > 0:
+                bound = counts[level] - 1
+                solver.add_atmost(lits + [-relax], weights + [total - bound], total)
+                result = search(-relax)
+                if result is Result.UNKNOWN:
+                    return SolveOutcome(Status.TIMED_OUT, solution())
+                if result is Result.UNSAT:
+                    break
+            solver.add_clause([relax])
+        solver.add_atmost(lits, weights, counts[level])
 
     return SolveOutcome(Status.OPTIMAL, solution())
 

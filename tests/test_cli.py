@@ -1,8 +1,10 @@
 import io
+import time
 
 import pytest
 
 from cudfsolve import DocIndex, PackageId, parse_document
+from cudfsolve import cli
 from cudfsolve.cli import main
 
 INFEASIBLE = "package: a\nversion: 1\n\nrequest: \ninstall: ghost\n"
@@ -74,6 +76,18 @@ def test_solve_unsatisfiable_prints_fail_and_nothing_else(capsys, tmp_path):
 
 def test_solve_timeout_before_any_model_says_so(capsys, scenario_path):
     code, out, err = run_cli(capsys, "solve", scenario_path, "--timeout", "0")
+    assert (code, out, err) == (0, "FAIL\n", "timed out; no solution found\n")
+
+
+def test_timeout_clock_starts_before_parsing(capsys, monkeypatch, scenario_path):
+    original = cli.parse_document
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_document", slow)
+    code, out, err = run_cli(capsys, "solve", scenario_path, "--timeout", "0.2")
     assert (code, out, err) == (0, "FAIL\n", "timed out; no solution found\n")
 
 

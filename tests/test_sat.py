@@ -2,6 +2,8 @@ import itertools
 import random
 from time import monotonic
 
+import pytest
+
 from cudfsolve.sat import Result, Solver, _luby
 
 
@@ -205,6 +207,18 @@ def test_deadline_interrupts_a_long_search():
     assert s.solve(deadline=monotonic() + 0.05) is Result.UNKNOWN
 
 
+def test_deadline_is_checked_on_decisions_too(monkeypatch):
+    # a clock that moves one second per reading, so the deadline has
+    # passed on the first reading after the check at entry
+    clock = itertools.count()
+    monkeypatch.setattr("cudfsolve.sat.monotonic", lambda: float(next(clock)))
+    s = fresh(2000)
+    for v in range(1, 2000, 2):
+        s.add_clause([v, v + 1])  # never conflicts: a long conflict-free descent
+    assert s.solve(deadline=0.5) is Result.UNKNOWN
+    assert s.conflicts == 0
+
+
 def test_random_3sat_agrees_with_enumeration():
     rng = random.Random(1234)
     for round_number in range(120):
@@ -254,6 +268,89 @@ def test_random_mixed_constraints_agree_with_enumeration():
                     w for l, w in zip(lits, weights) if model[abs(l)] == (l > 0)
                 )
                 assert weight <= bound
+
+
+def holds(model, lit):
+    return model[abs(lit)] == (lit > 0)
+
+
+def weight_of(model, lits, weights):
+    return sum(w for l, w in zip(lits, weights) if holds(model, l))
+
+
+def assert_model_satisfies(model, clauses, atmosts):
+    for clause in clauses:
+        assert any(holds(model, l) for l in clause), clause
+    for lits, weights, bound in atmosts:
+        assert weight_of(model, lits, weights) <= bound, (lits, weights, bound)
+
+
+@pytest.mark.parametrize("rescale_limit", [1e100, 1.5])
+def test_incremental_bounds_agree_with_enumeration(monkeypatch, rescale_limit):
+    # one live solver, a weighted bound tightened between searches, two steps
+    # for good and then two guarded by an assumed literal, as the optimizer
+    # uses them: back to back under the same assumptions the trail is kept.
+    # A low rescale limit makes every solver rescale its activities early.
+    monkeypatch.setattr("cudfsolve.sat._RESCALE_LIMIT", rescale_limit)
+    rng = random.Random(5150)
+    guarded_unsat = 0
+    for round_number in range(400):
+        n = rng.randint(3, 7)
+        s = Solver()
+        for _ in range(n):
+            s.new_var(phase=rng.random() < 0.5)
+        clauses, atmosts = [], []
+        for _ in range(rng.randint(1, n)):
+            chosen = rng.sample(range(1, n + 1), rng.randint(1, 3))
+            clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+            s.add_clause(clauses[-1])
+        model = None
+        lits = []
+        for step in range(10):
+            if model is None or weight_of(model, lits, weights) == 0:
+                # a new objective, like the optimizer's next level
+                chosen = rng.sample(range(1, n + 1), rng.randint(2, n))
+                lits = [v if rng.random() < 0.7 else -v for v in chosen]
+                weights = [rng.randint(1, 3) for _ in lits]
+                total = sum(weights)
+                relax = None
+            if model is not None and weight_of(model, lits, weights) > 0:
+                bound = max(weight_of(model, lits, weights) - rng.randint(1, 2), 0)
+            else:
+                bound = rng.randint(0, total)
+            if step // 2 % 2:
+                if relax is None:
+                    relax = s.new_var()
+                atmost = (lits + [-relax], weights + [total - bound], total)
+                assumptions = [-relax]
+            else:
+                atmost = (lits, weights, bound)
+                assumptions = []
+            atmosts.append(atmost)
+            s.add_atmost(*atmost)
+            expected = brute_sat(s.num_vars, clauses + [[a] for a in assumptions], atmosts)
+            result = s.solve(assumptions=assumptions)
+            assert (result is Result.SAT) == expected, (round_number, step)
+            model = s.model() if result is Result.SAT else None
+            if model is not None:
+                assert_model_satisfies(model, clauses + [[a] for a in assumptions], atmosts)
+                continue
+            if not assumptions:
+                break  # the formula itself is unsatisfiable now
+            # only the assumption failed: the solver lives on without it
+            guarded_unsat += 1
+            assert s.ok
+            expected = brute_sat(s.num_vars, clauses, atmosts)
+            result = s.solve()
+            assert (result is Result.SAT) == expected, (round_number, step)
+            if result is not Result.SAT:
+                break
+            model = s.model()
+            assert_model_satisfies(model, clauses, atmosts)
+            clauses.append([relax])  # retract the guarded bounds for good
+            s.add_clause([relax])
+            relax = None
+    assert guarded_unsat > 50
 
 
 def test_luby_sequence():

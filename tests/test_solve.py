@@ -1,4 +1,5 @@
 import importlib
+import time
 
 import pytest
 
@@ -241,7 +242,7 @@ def test_step_budget_caps_the_conflicts_of_the_whole_solve(monkeypatch):
         assert sum(used) <= steps + 1, (steps, used)
 
 
-def test_one_model_build_per_criterion_level(monkeypatch, scenario_doc):
+def test_one_model_build_per_solve(monkeypatch, scenario_doc):
     module = importlib.import_module("cudfsolve.solve")
     builds, searches = [], []
     count_calls(monkeypatch, module, "_build_model", builds)
@@ -253,11 +254,25 @@ def test_one_model_build_per_criterion_level(monkeypatch, scenario_doc):
         builds.clear()
         outcome = solve_document(doc, TRENDY)
         assert outcome.status is Status.OPTIMAL
-        assert 1 <= len(builds) <= len(TRENDY)
-    assert len(searches) > 3 * len(TRENDY)  # many bound steps, few builds
+        assert len(builds) == 1
+    assert len(searches) > 3 * len(TRENDY)  # many bound steps, one build each
     builds.clear()
     assert solve_document(scenario_doc, CriteriaSeq(())).status is Status.OPTIMAL
     assert len(builds) == 1
+
+
+def test_preprocessing_counts_against_the_wall_clock(monkeypatch, scenario_doc):
+    module = importlib.import_module("cudfsolve.solve")
+    original = module.generate
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "generate", slow)
+    outcome = solve_document(scenario_doc, PARANOID, limits=SolveLimits(wall_clock=0.2))
+    assert outcome.status is Status.TIMED_OUT
+    assert outcome.solution is None
 
 
 def test_brute_force_refuses_large_scopes():
