@@ -73,8 +73,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a random instance")
     p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
     p_gen.add_argument("-o", "--output", default=None)
-    p_gen.add_argument("--packages", type=int, default=20, help="number of package stanzas")
-    p_gen.add_argument("--max-versions", type=int, default=3)
+    p_gen.add_argument("--packages", type=_positive, default=20, help="number of package stanzas")
+    p_gen.add_argument("--max-versions", type=_positive, default=3)
     p_gen.add_argument("--installed-fraction", type=float, default=0.4)
     p_gen.add_argument("--depends-density", type=float, default=0.5)
     p_gen.add_argument("--conflicts-density", type=float, default=0.2)
@@ -97,6 +97,17 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> int:
+    """Parse ``--packages`` and ``--max-versions``: a whole number >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return value
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -113,7 +124,7 @@ def _write(path: str | None, text: str) -> None:
 def run(args: argparse.Namespace) -> int:
     try:
         return _dispatch(args)
-    except (CudfError, OSError) as exc:
+    except (CudfError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -102,15 +102,15 @@ def compute_closure(
     """
     index = _index if _index is not None else DocIndex(doc)
     out = compute_out(doc, _index=index)
-    if not check_feasible(doc, out, _index=index):
-        return ClosureResult(out=out, closure=frozenset(), feasible=False, iterations=0)
-
     allowed = frozenset(doc.universe() - out)
     o_names = {pid.name for pid in index.installed}
 
     closure: set[PackageId] = set()
     for clause in index.effective.install.clauses + index.effective.upgrade.clauses:
-        closure.update(index.providers(clause, allowed))
+        found = index.providers(clause, allowed)
+        if not found:
+            return ClosureResult(out=out, closure=frozenset(), feasible=False, iterations=0)
+        closure.update(found)
 
     def seed(condition) -> None:
         closure.update(pid for pid in allowed if condition(pid))

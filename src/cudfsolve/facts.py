@@ -31,24 +31,6 @@ class SetId:
         return f"s{self.ordinal}"
 
 
-class SetInterner:
-    """Assigns one stable token per distinct package set."""
-
-    def __init__(self) -> None:
-        self._ids: dict[frozenset[PackageId], SetId] = {}
-        self.members: dict[SetId, frozenset[PackageId]] = {}
-
-    def intern(self, members: Iterable[PackageId]) -> SetId:
-        key = frozenset(members)
-        found = self._ids.get(key)
-        if found is not None:
-            return found
-        sid = SetId(len(self._ids) + 1)
-        self._ids[key] = sid
-        self.members[sid] = key
-        return sid
-
-
 @dataclass(frozen=True)
 class FactSet:
     """Everything the solver needs to know about one problem."""
@@ -101,13 +83,23 @@ def generate(
     index = _index if _index is not None else DocIndex(doc)
     scope = closure.closure
     ordered = [desc for desc in doc.packages if desc.id in scope]
-    interner = SetInterner()
+    ids: dict[frozenset[PackageId], SetId] = {}
+    members: dict[SetId, frozenset[PackageId]] = {}
+
+    def intern(pids: Iterable[PackageId]) -> SetId:
+        """One stable token per distinct package set, numbered from 1."""
+        key = frozenset(pids)
+        if key not in ids:
+            ids[key] = SetId(len(ids) + 1)
+            members[ids[key]] = key
+        return ids[key]
+
     want_recommends = criteria.polarity_of(Criterion.UNSAT_RECOMMENDS) is not None
 
     depends: dict[tuple[PackageId, SetId], None] = {}
     for desc in ordered:
         for clause in desc.depends.clauses:
-            sid = interner.intern(index.providers(clause, scope))
+            sid = intern(index.providers(clause, scope))
             depends.setdefault((desc.id, sid))
 
     recommends: dict[tuple[PackageId, SetId, int], None] = {}
@@ -115,25 +107,17 @@ def generate(
         for desc in ordered:
             groups: dict[SetId, int] = {}
             for clause in desc.recommends.clauses:
-                sid = interner.intern(index.providers(clause, scope))
+                sid = intern(index.providers(clause, scope))
                 groups[sid] = groups.get(sid, 0) + 1
             for sid, count in groups.items():
                 recommends.setdefault((desc.id, sid, count))
 
     conflicts: dict[tuple[PackageId, SetId], None] = {}
     for desc in ordered:
-        atoms = [a for clause in desc.conflicts.clauses for a in clause.atoms]
-        if not atoms:
-            continue
-        enemies: set[PackageId] = set()
-        for atom in atoms:
-            enemies.update(
-                pid
-                for pid in index.touching.get(atom.name, ())
-                if pid != desc.id and pid in scope and index.atom_matches(atom, pid)
-            )
+        enemies = {q for clause in desc.conflicts.clauses for q in index.providers(clause, scope)}
+        enemies.discard(desc.id)
         if enemies:
-            conflicts.setdefault((desc.id, interner.intern(enemies)))
+            conflicts.setdefault((desc.id, intern(enemies)))
 
     for clause in index.effective.upgrade.clauses:
         matching = {
@@ -147,11 +131,11 @@ def generate(
                 continue
             rivals = {pid for pid, pairs in matching.items() if pairs != mine}
             if rivals:
-                conflicts.setdefault((desc.id, interner.intern(rivals)))
+                conflicts.setdefault((desc.id, intern(rivals)))
 
     requests: dict[SetId, None] = {}
     for clause in index.effective.install.clauses + index.effective.upgrade.clauses:
-        requests.setdefault(interner.intern(index.providers(clause, scope)))
+        requests.setdefault(intern(index.providers(clause, scope)))
 
     referenced = sorted(
         {sid for _, sid in depends}
@@ -160,7 +144,7 @@ def generate(
         | set(requests)
     )
     satisfies = tuple(
-        (pid, sid) for sid in referenced for pid in sorted(interner.members[sid])
+        (pid, sid) for sid in referenced for pid in sorted(members[sid])
     )
 
     newest = {desc.name: index.umax[desc.name] for desc in ordered}
@@ -175,7 +159,7 @@ def generate(
         requests=tuple(requests),
         satisfies=satisfies,
         criteria=criteria.facts(),
-        members=dict(interner.members),
+        members=members,
         index=index,
     )
 

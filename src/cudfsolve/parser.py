@@ -50,8 +50,11 @@ class ParseError(CudfError):
 WarnSink = Callable[[str], None]
 
 _LINE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9-]*):(.*)$")
-_OP_RUN_RE = re.compile(r"[<>=!]+")
 _DIGITS_RE = re.compile(r"[0-9]+")
+#: name, then an optional operator run with its optional version, then the rest
+_ATOM_RE = re.compile(
+    rf"\s*({model.NAME_RE.pattern})\s*(?:([<>=!]+)\s*([0-9]+)?\s*)?(.*)", re.DOTALL
+)
 
 _OPS = {op.value: op for op in RelOp}
 
@@ -70,12 +73,6 @@ _REQUEST_PROPS = {"request", "install", "remove", "upgrade"}
 _KEEP_VALUES = {k.value: k for k in Keep}
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
 def _parse_version_token(token: str, line: int) -> int:
     if _DIGITS_RE.fullmatch(token) is None:
         raise ParseError(line, ParseErrorKind.BAD_VERSION, f"bad version {token!r}")
@@ -88,35 +85,24 @@ def _parse_version_token(token: str, line: int) -> int:
 
 
 def _parse_atom(text: str, line: int) -> Constraint:
-    pos = _skip_ws(text, 0)
-    name_match = model.NAME_RE.match(text, pos)
-    if name_match is None:
+    match = _ATOM_RE.match(text)
+    if match is None:
         raise ParseError(line, ParseErrorKind.SYNTAX, f"expected a package name in {text!r}")
-    name = name_match.group(0)
-    pos = _skip_ws(text, name_match.end())
-    if pos == len(text):
+    name, op_token, digits, rest = match.groups()
+    if op_token is None:
+        if rest:
+            raise ParseError(line, ParseErrorKind.SYNTAX, f"unexpected {rest!r} after {name!r}")
         return Constraint(name)
-    op_match = _OP_RUN_RE.match(text, pos)
-    if op_match is None:
-        raise ParseError(
-            line, ParseErrorKind.SYNTAX, f"unexpected {text[pos:]!r} after {name!r}"
-        )
-    op_token = op_match.group(0)
     op = _OPS.get(op_token)
     if op is None:
         raise ParseError(line, ParseErrorKind.BAD_OPERATOR, f"unknown operator {op_token!r}")
-    pos = _skip_ws(text, op_match.end())
-    digits_match = _DIGITS_RE.match(text, pos)
-    if digits_match is None:
+    if digits is None:
         raise ParseError(
             line, ParseErrorKind.BAD_VERSION, f"expected a version after {op_token!r}"
         )
-    value = _parse_version_token(digits_match.group(0), line)
-    pos = _skip_ws(text, digits_match.end())
-    if pos != len(text):
-        raise ParseError(
-            line, ParseErrorKind.SYNTAX, f"trailing input {text[pos:]!r} in atom"
-        )
+    value = _parse_version_token(digits, line)
+    if rest:
+        raise ParseError(line, ParseErrorKind.SYNTAX, f"trailing input {rest!r} in atom")
     return Constraint(name, VersionBound(op, value))
 
 
@@ -190,6 +176,29 @@ def _split_stanzas(text: str) -> Iterable[_Stanza]:
         yield stanza
 
 
+def _formulas(stanza: _Stanza, props: tuple[str, ...]) -> dict[str, Formula]:
+    """Each of ``props`` parsed, in order; an absent one is true."""
+    return {
+        prop: _parse_formula(stanza.props[prop], stanza.lines[prop])
+        if prop in stanza.props
+        else model.TRUE_FORMULA
+        for prop in props
+    }
+
+
+def _check_props(
+    stanza: _Stanza, own: set[str], foreign: set[str], misplaced: str, warn: WarnSink | None
+) -> None:
+    """Reject a ``foreign`` key with ``misplaced`` (``{}`` is the key); warn about unknown ones."""
+    for key, line in stanza.lines.items():
+        if key in own:
+            continue
+        if key in foreign:
+            raise ParseError(line, ParseErrorKind.UNKNOWN_PROPERTY, misplaced.format(repr(key)))
+        if warn is not None:
+            warn(f"line {line}: unknown property {key!r} ignored")
+
+
 def _package_from_stanza(stanza: _Stanza, warn: WarnSink | None) -> PackageDesc:
     props = stanza.props
     name = props["package"]
@@ -202,20 +211,11 @@ def _package_from_stanza(stanza: _Stanza, warn: WarnSink | None) -> PackageDesc:
             stanza.line, ParseErrorKind.BAD_VERSION, f"package {name!r} has no version"
         )
     version = _parse_version_token(props["version"], stanza.lines["version"])
-
-    formulas: dict[str, Formula] = {}
-    for prop in ("depends", "conflicts", "provides", "recommends"):
-        if prop in props:
-            formulas[prop] = _parse_formula(props[prop], stanza.lines[prop])
-        else:
-            formulas[prop] = model.TRUE_FORMULA
+    formulas = _formulas(stanza, ("depends", "conflicts", "provides", "recommends"))
 
     for clause in formulas["provides"].clauses:
-        bad = len(clause.atoms) != 1 or (
-            clause.atoms[0].bound is not None
-            and clause.atoms[0].bound.op is not RelOp.EQ
-        )
-        if bad:
+        bound = clause.atoms[0].bound
+        if len(clause.atoms) != 1 or (bound is not None and bound.op is not RelOp.EQ):
             raise ParseError(
                 stanza.lines["provides"],
                 ParseErrorKind.SYNTAX,
@@ -243,47 +243,15 @@ def _package_from_stanza(stanza: _Stanza, warn: WarnSink | None) -> PackageDesc:
                 f"keep must be one of version/package/feature/none, got {props['keep']!r}",
             )
 
-    for key in stanza.props:
-        if key in _PACKAGE_PROPS:
-            continue
-        if key in _REQUEST_PROPS:
-            raise ParseError(
-                stanza.lines[key],
-                ParseErrorKind.UNKNOWN_PROPERTY,
-                f"request property {key!r} inside a package stanza",
-            )
-        if warn is not None:
-            warn(f"line {stanza.lines[key]}: unknown property {key!r} ignored")
-
-    return PackageDesc(
-        id=PackageId(name, version),
-        depends=formulas["depends"],
-        conflicts=formulas["conflicts"],
-        provides=formulas["provides"],
-        recommends=formulas["recommends"],
-        installed=installed,
-        keep=keep,
-    )
+    misplaced = "request property {} inside a package stanza"
+    _check_props(stanza, _PACKAGE_PROPS, _REQUEST_PROPS, misplaced, warn)
+    return PackageDesc(PackageId(name, version), **formulas, installed=installed, keep=keep)
 
 
 def _request_from_stanza(stanza: _Stanza, warn: WarnSink | None) -> Request:
-    parts: dict[str, Formula] = {}
-    for prop in ("install", "remove", "upgrade"):
-        if prop in stanza.props:
-            parts[prop] = _parse_formula(stanza.props[prop], stanza.lines[prop])
-        else:
-            parts[prop] = model.TRUE_FORMULA
-    for key in stanza.props:
-        if key in _REQUEST_PROPS:
-            continue
-        if key in _PACKAGE_PROPS:
-            raise ParseError(
-                stanza.lines[key],
-                ParseErrorKind.UNKNOWN_PROPERTY,
-                f"package property {key!r} inside the request stanza",
-            )
-        if warn is not None:
-            warn(f"line {stanza.lines[key]}: unknown property {key!r} ignored")
+    parts = _formulas(stanza, ("install", "remove", "upgrade"))
+    misplaced = "package property {} inside the request stanza"
+    _check_props(stanza, _REQUEST_PROPS, _PACKAGE_PROPS, misplaced, warn)
     return Request(**parts)
 
 

@@ -27,7 +27,7 @@ from .closure import compute_closure, full_scope
 from .criteria import CriteriaSeq, Criterion, Polarity, SignedCriterion
 from .errors import ScopeTooLarge
 from .facts import FactSet, generate
-from .model import CudfDocument, PackageId
+from .model import Clause, CudfDocument, PackageId
 from .sat import Result, Solver
 from .semantics import DocIndex, ObjectiveVector, evaluate, validate_solution
 
@@ -332,9 +332,31 @@ def brute_force(
     pool = tuple(scope) if scope is not None else tuple(p.id for p in doc)
     if len(pool) > 20:
         raise ScopeTooLarge(f"cannot enumerate 2**{len(pool)} selections")
+    # necessary conditions as bitmasks over the pool, so that only the
+    # subsets passing all of them reach the referee
+    bits = {pid: 1 << i for i, pid in enumerate(pool)}
+    allowed = frozenset(pool)
+
+    def providing(clauses: tuple[Clause, ...]) -> int:
+        """The pool members that provide any of ``clauses``, one bit each."""
+        return sum({bits[q] for c in clauses for q in index.providers(c, allowed)})
+
+    removed = providing(index.effective.remove.clauses)
+    wanted = [
+        providing((c,)) for c in index.effective.install.clauses + index.effective.upgrade.clauses
+    ]
+    needs = [(bits[p], providing((c,))) for p in pool for c in index.by_id[p].depends.clauses]
+    clashes = [(bits[p], providing(index.by_id[p].conflicts.clauses) & ~bits[p]) for p in pool]
     best_rank: tuple | None = None
     best: Solution | None = None
     for mask in range(1 << len(pool)):
+        if (
+            mask & removed
+            or not all(mask & w for w in wanted)
+            or any(mask & b and not mask & d for b, d in needs)
+            or any(mask & b and mask & c for b, c in clashes)
+        ):
+            continue
         selection = frozenset(pid for i, pid in enumerate(pool) if mask >> i & 1)
         if not validate_solution(doc, selection, _index=index).ok:
             continue

@@ -221,6 +221,31 @@ def test_missing_input_exits_2(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_input_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.cudf"
+    path.write_bytes("package: caf\xe9\nversion: 1\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_solution_that_is_not_utf8_exits_2(capsys, tmp_path, scenario_path):
+    answer = tmp_path / "answer.cudf"
+    answer.write_bytes(b"package: inst\xff\nversion: 3\ninstalled: true\n")
+    code, out, err = run_cli(capsys, "validate", scenario_path, str(answer))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("flag", ["--packages", "--max-versions"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_gen_sizes_below_one_are_usage_errors(capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main(["gen", f"{flag}={value}"])
+    assert info.value.code == 2
+    assert f"{flag}: expected a whole number >= 1, got {value!r}" in capsys.readouterr().err
+
+
 def test_bad_criteria_exit_2(capsys, scenario_path):
     code, _, err = run_cli(capsys, "solve", scenario_path, "-c", "-sideways")
     assert code == 2 and "criterion" in err

@@ -129,12 +129,83 @@ def test_package_property_inside_request_stanza():
     assert e.kind is ParseErrorKind.UNKNOWN_PROPERTY
 
 
+_PKG = "package: a\nversion: 1\n"
+
+# One input per ParseError the parser can raise, with its exact text:
+# a rewrite of the scanner must keep every message, kind and line.
+_ERRORS = [
+    ("package: a\nversion: x1\n", "BAD_VERSION", 2, "bad version 'x1'"),
+    (
+        "package: a\nversion: 123456789012345678901\n",
+        "BAD_VERSION",
+        2,
+        "version too large: 123456789012345678901",
+    ),
+    ("package: a\nversion: 0\n", "BAD_VERSION", 2, "version out of range: 0"),
+    (_PKG + "depends: b | >= 2\n", "SYNTAX", 3, "expected a package name in ' >= 2'"),
+    (_PKG + "depends: b c\n", "SYNTAX", 3, "unexpected 'c' after 'b'"),
+    (_PKG + "conflicts: b == 2\n", "BAD_OPERATOR", 3, "unknown operator '=='"),
+    (_PKG + "depends: b >= x\n", "BAD_VERSION", 3, "expected a version after '>='"),
+    (_PKG + "depends: b >= 2 3\n", "SYNTAX", 3, "trailing input '3' in atom"),
+    (_PKG + "depends: b,,c\n", "SYNTAX", 3, "empty clause in formula"),
+    (_PKG + "recommends: b||c\n", "SYNTAX", 3, "empty atom in clause"),
+    ("  depends: b\n", "SYNTAX", 1, "continuation line without a property"),
+    (_PKG + "depends b\n", "SYNTAX", 3, "expected 'property: value', got 'depends b'"),
+    (_PKG + "version: 2\n", "DUPLICATE_PROPERTY", 3, "property 'version' repeated"),
+    ("package: a b\nversion: 1\n", "SYNTAX", 1, "bad package name 'a b'"),
+    ("\npackage: a\n", "BAD_VERSION", 2, "package 'a' has no version"),
+    (
+        _PKG + "provides: b >= 2\n",
+        "SYNTAX",
+        3,
+        "provides entries must be plain names or 'name = version'",
+    ),
+    (_PKG + "installed: yes\n", "SYNTAX", 3, "installed must be true or false, got 'yes'"),
+    (
+        _PKG + "keep: forever\n",
+        "SYNTAX",
+        3,
+        "keep must be one of version/package/feature/none, got 'forever'",
+    ),
+    (
+        _PKG + "install: b\n",
+        "UNKNOWN_PROPERTY",
+        3,
+        "request property 'install' inside a package stanza",
+    ),
+    (
+        "request: \nupgrade: a\ndepends: b\n",
+        "UNKNOWN_PROPERTY",
+        3,
+        "package property 'depends' inside the request stanza",
+    ),
+    (_PKG + "\n" + _PKG, "SYNTAX", 4, "duplicate package a=1 (first at line 1)"),
+    ("request: \n\nrequest: \n", "SYNTAX", 3, "more than one request stanza"),
+    (
+        "version: 1\npackage: a\n",
+        "SYNTAX",
+        1,
+        "stanza must start with package:, request: or preamble:, got 'version'",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,kind,line,message", _ERRORS)
+def test_error_text_is_pinned(text, kind, line, message):
+    e = err(text)
+    assert (e.kind, e.line, e.message) == (ParseErrorKind[kind], line, message)
+    assert str(e) == f"line {line}: {e.kind.value}: {message}"
+
+
 def test_unknown_properties_warn_but_parse(scenario_text):
     warnings = []
     text = "package: a\nversion: 1\nbugs: none\n\nrequest: \n"
     doc = parse_document(text, warn=warnings.append)
     assert len(doc.packages) == 1
     assert warnings == ["line 3: unknown property 'bugs' ignored"]
+    warnings.clear()
+    parse_document("request: \nx-when: now\ninstall: a\n", warn=warnings.append)
+    assert warnings == ["line 2: unknown property 'x-when' ignored"]
 
 
 def test_duplicate_package_stanza_mentions_both_lines():

@@ -1,12 +1,17 @@
 import importlib
+import random
 import time
 
 import pytest
+from test_acceptance import _corpus_knobs
+from test_parser import _fuzz_document
 
 from cudfsolve import (
     CriteriaSeq,
+    DocIndex,
     InfeasibleInput,
     PackageId,
+    ParseError,
     ScopeTooLarge,
     SolveLimits,
     Status,
@@ -295,3 +300,51 @@ def test_solving_is_deterministic(scenario_doc):
     second = solve_document(scenario_doc, TRENDY)
     assert first.solution.installed == second.solution.installed
     assert str(first.solution.objective) == str(second.solution.objective)
+
+
+def test_oracle_prefilter_only_skips_invalid_subsets(monkeypatch):
+    # brute_force drops subsets that fail a necessary condition before the
+    # referee sees them; every subset it drops must really be invalid
+    module = importlib.import_module("cudfsolve.solve")
+    checked = []
+    count_calls(monkeypatch, module, "validate_solution", checked)
+    docs = [generate_instance(seed, **_corpus_knobs(seed)) for seed in range(0, 260, 10)]
+    rng = random.Random(5)
+    for _ in range(400):
+        try:
+            docs.append(parse_document(_fuzz_document(rng)))
+        except ParseError:
+            pass
+    dropped = 0
+    for doc in docs:
+        checked.clear()
+        brute_force(doc, PARANOID)
+        passed = {frozenset(args[1]) for args in checked}
+        pool = [desc.id for desc in doc]
+        index = DocIndex(doc)
+        for mask in range(1 << len(pool)):
+            selection = frozenset(p for i, p in enumerate(pool) if mask >> i & 1)
+            if selection not in passed:
+                dropped += 1
+                assert not validate_solution(doc, selection, _index=index).ok, (doc, selection)
+    assert dropped > 10 * len(docs)
+
+
+def test_solver_matches_the_oracle_up_to_its_size_cap():
+    # wider than criterion 3's universes of 4..12: 13 up to the oracle's 20
+    mismatches, solved = [], 0
+    for seed in range(32):
+        doc = generate_instance(seed, **dict(_corpus_knobs(seed), packages=13 + seed % 8))
+        for criteria in (PARANOID, TRENDY):
+            try:
+                solution = solve_document(doc, criteria).solution
+            except InfeasibleInput:
+                solution = None
+            oracle = brute_force(doc, criteria)
+            got = None if solution is None else solution.objective.key()
+            expected = None if oracle is None else oracle.objective.key()
+            if got != expected:
+                mismatches.append((seed, str(criteria), got, expected))
+            solved += got is not None
+    assert not mismatches
+    assert solved >= 20
