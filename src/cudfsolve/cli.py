@@ -73,16 +73,16 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a random instance")
     p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
     p_gen.add_argument("-o", "--output", default=None)
-    p_gen.add_argument("--packages", type=_positive, default=20, help="number of package stanzas")
-    p_gen.add_argument("--max-versions", type=_positive, default=3)
+    p_gen.add_argument("--packages", type=_at_least(1), default=20, help="number of package stanzas")
+    p_gen.add_argument("--max-versions", type=_at_least(1), default=3)
     p_gen.add_argument("--installed-fraction", type=float, default=0.4)
     p_gen.add_argument("--depends-density", type=float, default=0.5)
     p_gen.add_argument("--conflicts-density", type=float, default=0.2)
     p_gen.add_argument("--provides-density", type=float, default=0.15)
     p_gen.add_argument("--recommends-density", type=float, default=0.2)
-    p_gen.add_argument("--install-requests", type=int, default=2)
-    p_gen.add_argument("--upgrade-requests", type=int, default=1)
-    p_gen.add_argument("--remove-requests", type=int, default=0)
+    p_gen.add_argument("--install-requests", type=_at_least(0), default=2)
+    p_gen.add_argument("--upgrade-requests", type=_at_least(0), default=1)
+    p_gen.add_argument("--remove-requests", type=_at_least(0), default=0)
     return parser
 
 
@@ -97,15 +97,21 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _positive(text: str) -> int:
-    """Parse ``--packages`` and ``--max-versions``: a whole number >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
-    return value
+def _at_least(minimum: int):
+    """Parser for ``gen``'s sizes (>= 1) and request counts (>= 0)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected a whole number >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _read_input(path: str) -> str:

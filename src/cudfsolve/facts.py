@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 from .closure import ClosureResult
 from .criteria import CriteriaSeq, Criterion
 from .errors import InfeasibleInput
-from .model import Clause, CudfDocument, PackageId
+from .model import CudfDocument, PackageId
 from .semantics import DocIndex, _mentioned_names
 
 
@@ -42,27 +42,17 @@ class FactSet:
     recommends: tuple[tuple[PackageId, SetId, int], ...]
     conflicts: tuple[tuple[PackageId, SetId], ...]
     requests: tuple[SetId, ...]
-    satisfies: tuple[tuple[PackageId, SetId], ...]
     criteria: tuple[tuple[str, int], ...]
+    #: every interned set, each referenced by some fact above
     members: Mapping[SetId, frozenset[PackageId]]
     #: the source document's lookup; the solver's variable order is its document order
     index: DocIndex = field(compare=False)
 
-
-def _matching_pairs(
-    index: DocIndex, clause: Clause, pid: PackageId
-) -> frozenset[tuple[str, int]]:
-    """The provided (name, version) pairs an upgrade clause accepts."""
-    mentioned = _mentioned_names(clause)
-    assert not index.all_names[pid].intersection(mentioned), (
-        "open-ended provides of an upgraded name must be excluded upstream"
-    )
-    pairs: set[tuple[str, int]] = set()
-    for atom in clause.atoms:
-        for version in index.exact[pid].get(atom.name, ()):
-            if atom.bound is None or atom.bound.op.holds(version, atom.bound.value):
-                pairs.add((atom.name, version))
-    return frozenset(pairs)
+    @property
+    def satisfies(self) -> tuple[tuple[PackageId, SetId], ...]:
+        """The members of every set, by set and then by package."""
+        members = self.members
+        return tuple((pid, sid) for sid in sorted(members) for pid in sorted(members[sid]))
 
 
 def generate(
@@ -120,32 +110,23 @@ def generate(
             conflicts.setdefault((desc.id, intern(enemies)))
 
     for clause in index.effective.upgrade.clauses:
-        matching = {
-            desc.id: pairs
+        # compute_out leaves each candidate at most one provided (name,
+        # version) of the upgraded names, and one the clause accepts
+        mentioned = _mentioned_names(clause)
+        pair = {
+            desc.id: (name, version)
             for desc in ordered
-            if (pairs := _matching_pairs(index, clause, desc.id))
+            for name in mentioned
+            for version in index.exact[desc.id].get(name, ())
         }
-        for desc in ordered:
-            mine = matching.get(desc.id)
-            if not mine:
-                continue
-            rivals = {pid for pid, pairs in matching.items() if pairs != mine}
+        for pid, mine in pair.items():
+            rivals = {q for q, theirs in pair.items() if theirs != mine}
             if rivals:
-                conflicts.setdefault((desc.id, intern(rivals)))
+                conflicts.setdefault((pid, intern(rivals)))
 
     requests: dict[SetId, None] = {}
     for clause in index.effective.install.clauses + index.effective.upgrade.clauses:
         requests.setdefault(intern(index.providers(clause, scope)))
-
-    referenced = sorted(
-        {sid for _, sid in depends}
-        | {sid for _, sid, _ in recommends}
-        | {sid for _, sid in conflicts}
-        | set(requests)
-    )
-    satisfies = tuple(
-        (pid, sid) for sid in referenced for pid in sorted(members[sid])
-    )
 
     newest = {desc.name: index.umax[desc.name] for desc in ordered}
 
@@ -157,7 +138,6 @@ def generate(
         recommends=tuple(recommends),
         conflicts=tuple(conflicts),
         requests=tuple(requests),
-        satisfies=satisfies,
         criteria=criteria.facts(),
         members=members,
         index=index,

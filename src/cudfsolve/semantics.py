@@ -110,7 +110,7 @@ class DocIndex:
     def providers(
         self, clause: Clause, allowed: frozenset[PackageId] | None = None
     ) -> list[PackageId]:
-        """Providers of ``clause`` in document order, optionally filtered."""
+        """Providers of ``clause`` sorted by name then version, optionally filtered."""
         seen: set[PackageId] = set()
         for atom in clause.atoms:
             for pid in self.touching.get(atom.name, ()):

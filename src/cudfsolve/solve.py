@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from time import monotonic
 
 from .closure import compute_closure, full_scope
-from .criteria import CriteriaSeq, Criterion, Polarity, SignedCriterion
+from .criteria import CriteriaSeq, Criterion, Polarity
 from .errors import ScopeTooLarge
 from .facts import FactSet, generate
 from .model import Clause, CudfDocument, PackageId
@@ -91,23 +91,21 @@ def solve_document(
 # propositional model
 
 
-def _candidates(facts: FactSet) -> tuple[PackageId, ...]:
-    """The units in document order, which is the solver's variable order."""
-    return tuple(desc.id for desc in facts.index.doc if desc.id in facts.units)
-
-
 def _build_model(
     facts: FactSet,
-    candidates: tuple[PackageId, ...],
-    sig: tuple[SignedCriterion, ...],
 ) -> tuple[Solver, dict[PackageId, int], list[tuple[list[int], list[int]]]]:
-    """Fresh solver with hard constraints plus, per level, the literals it minimizes."""
+    """Fresh solver with hard constraints plus, per level, the literals it minimizes.
+
+    One variable per unit, in document order; the levels come most
+    significant first.
+    """
     solver = Solver()
     installed = facts.installed
     members = facts.members
     invar: dict[PackageId, int] = {}
-    for pid in candidates:
-        invar[pid] = solver.new_var(phase=pid in installed)
+    for desc in facts.index.doc:
+        if desc.id in facts.units:
+            invar[desc.id] = solver.new_var(phase=desc.id in installed)
 
     for sid in facts.requests:
         solver.add_clause([invar[q] for q in sorted(members[sid])])
@@ -123,7 +121,7 @@ def _build_model(
             solver.add_clause([-invar[pid], -invar[enemy]])
 
     by_name: dict[str, list[PackageId]] = {}
-    for pid in candidates:
+    for pid in invar:
         by_name.setdefault(pid.name, []).append(pid)
     o_names = {pid.name for pid in installed}
     o_versions: dict[str, set[int]] = {}
@@ -149,23 +147,15 @@ def _build_model(
                 inn_cache[name] = define_or([invar[p] for p in group])
         return inn_cache[name]
 
-    changed_cache: dict[str, int | None] = {}
-
     def changed_lit(name: str) -> int | None:
         """Version set of ``name`` differs from before; None when forced."""
-        if name in changed_cache:
-            return changed_cache[name]
         group = by_name[name]
-        result: int | None
         if name not in o_names:
-            result = inn_lit(name)
-        elif o_versions[name] - {p.version for p in group}:
-            result = None  # an installed version fell out of scope
-        else:
-            lits = [-invar[p] if p in installed else invar[p] for p in group]
-            result = lits[0] if len(lits) == 1 else define_or(lits)
-        changed_cache[name] = result
-        return result
+            return inn_lit(name)
+        if o_versions[name] - {p.version for p in group}:
+            return None  # an installed version fell out of scope
+        lits = [-invar[p] if p in installed else invar[p] for p in group]
+        return lits[0] if len(lits) == 1 else define_or(lits)
 
     def outdated_lit(name: str) -> int | None:
         """``name`` installed but not at its newest version."""
@@ -196,49 +186,28 @@ def _build_model(
         solver.add_clause([-invar[pid], y] + member_lits)
         return y
 
+    name_lit = {  # the per-name criteria, each name weighing 1
+        Criterion.NEW: lambda name: None if name in o_names else inn_lit(name),
+        Criterion.REMOVED: lambda name: -inn_lit(name) if name in o_names else None,
+        Criterion.CHANGED: changed_lit,
+        Criterion.NOT_UP_TO_DATE: outdated_lit,
+    }
     terms: list[tuple[list[int], list[int]]] = []
-    for signed in sig:
-        lits: list[int] = []
-        weights: list[int] = []
-        crit = signed.criterion
-        if crit is Criterion.NEW:
-            for name in by_name:
-                if name not in o_names:
-                    lits.append(inn_lit(name))
-                    weights.append(1)
-        elif crit is Criterion.REMOVED:
-            for name in by_name:
-                if name in o_names:
-                    lits.append(-inn_lit(name))
-                    weights.append(1)
-        elif crit is Criterion.CHANGED:
-            for name in by_name:
-                lit = changed_lit(name)
-                if lit is not None:
-                    lits.append(lit)
-                    weights.append(1)
-        elif crit is Criterion.NOT_UP_TO_DATE:
-            for name in by_name:
-                lit = outdated_lit(name)
-                if lit is not None:
-                    lits.append(lit)
-                    weights.append(1)
+    for signed in CriteriaSeq.from_facts(facts.criteria).significance_first():
+        if signed.criterion is Criterion.UNSAT_RECOMMENDS:
+            scored = [(violation_lit(pid, members[sid]), w) for pid, sid, w in facts.recommends]
         else:
-            for pid, sid, weight in facts.recommends:
-                lit = violation_lit(pid, members[sid])
-                if lit is not None:
-                    lits.append(lit)
-                    weights.append(weight)
-        if signed.polarity is Polarity.PLUS:  # maximize by minimizing the false literals
-            lits = [-lit for lit in lits]
-        terms.append((lits, weights))
+            scored = [(name_lit[signed.criterion](name), 1) for name in by_name]
+        scored = [(lit, w) for lit, w in scored if lit is not None]
+        # maximize by minimizing the false literals
+        sign = -1 if signed.polarity is Polarity.PLUS else 1
+        terms.append(([sign * lit for lit, _ in scored], [w for _, w in scored]))
     return solver, invar, terms
 
 
 def model_stats(facts: FactSet) -> dict[str, int]:
     """Size of the propositional model, without solving anything."""
-    sig = CriteriaSeq.from_facts(facts.criteria).significance_first()
-    solver, _, terms = _build_model(facts, _candidates(facts), sig)
+    solver, _, terms = _build_model(facts)
     return {
         "candidates": len(facts.units),
         "variables": solver.num_vars,
@@ -256,8 +225,6 @@ def solve(facts: FactSet, *, limits: SolveLimits | None = None) -> SolveOutcome:
     remaining = limits.max_steps
     index = facts.index
     criteria = CriteriaSeq.from_facts(facts.criteria)
-    candidates = _candidates(facts)
-    sig = criteria.significance_first()
     best: frozenset[PackageId] | None = None
     counts: list[int] = []
 
@@ -284,7 +251,7 @@ def solve(facts: FactSet, *, limits: SolveLimits | None = None) -> SolveOutcome:
             ]
         return result
 
-    solver, invar, terms = _build_model(facts, candidates, sig)
+    solver, invar, terms = _build_model(facts)
     result = search()
     if result is Result.UNSAT:
         return SolveOutcome(Status.UNSATISFIABLE)

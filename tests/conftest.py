@@ -1,6 +1,19 @@
+import dataclasses
+import random
+
 import pytest
 
-from cudfsolve import DocIndex, parse_document
+from cudfsolve import (
+    Clause,
+    Constraint,
+    DocIndex,
+    Formula,
+    RelOp,
+    VersionBound,
+    generate_instance,
+    make_document,
+    parse_document,
+)
 
 # A small upgrade scenario exercising most of the format: multiple
 # versions, a virtual feature, chained conflicts, a recommendation,
@@ -76,3 +89,42 @@ def scenario_doc():
 @pytest.fixture()
 def scenario_index(scenario_doc):
     return DocIndex(scenario_doc)
+
+
+def _upgrade_heavy(seed):
+    rng = random.Random(seed)
+    doc = generate_instance(seed, packages=30, installed_fraction=0.5, provides_density=0.7)
+    names = sorted({desc.name for desc in doc} | {f"virt{i}" for i in (1, 2)})
+
+    def atom(op_pool):
+        name = rng.choice(names)
+        if rng.random() < 0.4:
+            return Constraint(name)
+        return Constraint(name, VersionBound(rng.choice(op_pool), rng.randint(1, 3)))
+
+    descs = [
+        dataclasses.replace(
+            desc, provides=Formula(desc.provides.clauses + (Clause((atom([RelOp.EQ]),)),))
+        )
+        if rng.random() < 0.4
+        else desc
+        for desc in doc
+    ]
+    extra = tuple(
+        Clause(tuple(atom(list(RelOp)) for _ in range(rng.randint(1, 2))))
+        for _ in range(rng.randint(1, 2))
+    )
+    upgrade = Formula(doc.request.upgrade.clauses + extra)
+    return make_document(descs, dataclasses.replace(doc.request, upgrade=upgrade))
+
+
+@pytest.fixture(scope="session")
+def upgrade_heavy_docs():
+    """Generated documents whose upgrade clauses reach provided names.
+
+    ``generate_instance`` upgrades only installed real names, which no
+    other package provides.  These add a provide of any name, pinned or
+    open-ended, to two in five packages, and upgrade clauses over every
+    name, some of them disjunctions or bounded.
+    """
+    return [_upgrade_heavy(seed) for seed in range(40)]

@@ -246,6 +246,21 @@ def test_gen_sizes_below_one_are_usage_errors(capsys, flag, value):
     assert f"{flag}: expected a whole number >= 1, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--install-requests", "--upgrade-requests", "--remove-requests"])
+def test_gen_negative_request_counts_are_usage_errors(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["gen", flag, "-1"])
+    assert info.value.code == 2
+    assert f"{flag}: expected a whole number >= 0, got '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--install-requests", "--upgrade-requests", "--remove-requests"])
+def test_gen_accepts_zero_requests(capsys, flag):
+    code, out, err = run_cli(capsys, "gen", flag, "0")
+    assert (code, err) == (0, "")
+    assert out.startswith("package: ")
+
+
 def test_bad_criteria_exit_2(capsys, scenario_path):
     code, _, err = run_cli(capsys, "solve", scenario_path, "-c", "-sideways")
     assert code == 2 and "criterion" in err

@@ -11,6 +11,7 @@ from cudfsolve import (
     parse_criteria,
     parse_document,
 )
+from cudfsolve.semantics import _mentioned_names
 
 PARANOID = parse_criteria("paranoid")
 TRENDY = parse_criteria("trendy")
@@ -114,6 +115,27 @@ def test_full_scope_keeps_everything_but_out(scenario_doc):
     assert result.feasible
     assert result.closure == scenario_doc.universe() - result.out
     assert result.iterations == 0
+
+
+def test_each_upgrade_candidate_provides_one_accepted_version(upgrade_heavy_docs):
+    # facts.generate reads an upgrade candidate's one pair straight off
+    # index.exact to find its rivals
+    provided = 0
+    for doc in upgrade_heavy_docs:
+        index = DocIndex(doc)
+        out = compute_out(doc, _index=index)
+        for clause in index.effective.upgrade.clauses:
+            mentioned = _mentioned_names(clause)
+            for desc in doc:
+                if desc.id in out:
+                    continue
+                assert not index.all_names[desc.id].intersection(mentioned), desc.id
+                pairs = [(n, v) for n in mentioned for v in index.exact[desc.id].get(n, ())]
+                assert len(pairs) <= 1, (desc.id, clause, pairs)
+                if pairs:
+                    assert index.clause_matches(clause, desc.id), (desc.id, clause)
+                    provided += 1
+    assert provided > 100
 
 
 def test_closure_is_contained_in_the_allowed_universe():

@@ -7,6 +7,7 @@ from cudfsolve import (
     compute_closure,
     full_scope,
     generate_facts,
+    generate_instance,
     parse_criteria,
     parse_document,
     render_facts,
@@ -104,6 +105,30 @@ def test_satisfies_enumerates_every_referenced_set(scenario_facts):
         s: members for s, members in scenario_facts.members.items() if s in by_set
     }
     assert set(by_set) == {sid(i) for i in range(1, 8)}
+
+
+@pytest.mark.parametrize("text", ["paranoid", "trendy", "-changed,+removed,-unsat_recommends"])
+def test_every_interned_set_is_referenced_by_a_fact(upgrade_heavy_docs, text):
+    criteria = parse_criteria(text)
+    docs = upgrade_heavy_docs + [
+        generate_instance(seed, packages=30, upgrade_requests=2, remove_requests=1)
+        for seed in range(20)
+    ]
+    compiled = 0
+    for doc in docs:
+        for scope in (compute_closure(doc, criteria), full_scope(doc)):
+            if not scope.feasible:
+                continue
+            facts = generate_facts(doc, criteria, scope)
+            referenced = (
+                {s for _, s in facts.depends}
+                | {s for _, s, _ in facts.recommends}
+                | {s for _, s in facts.conflicts}
+                | set(facts.requests)
+            )
+            assert referenced == set(facts.members)
+            compiled += 1
+    assert compiled > 40
 
 
 def test_criterion_facts_number_positions_from_least_significant(scenario_facts):
