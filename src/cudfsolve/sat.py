@@ -5,14 +5,14 @@ supports weighted at-most bounds ("at most 3 of these literals"),
 which is how objective tightening is expressed without blowing the
 formula up into adder circuits.  Both kinds may be added between two
 searches, and :meth:`Solver.solve` takes assumptions, so one live
-solver serves a whole optimization: a bound guarded by an assumed
-literal can be tightened step after step and retracted when it proves
-unreachable, with learned clauses kept throughout.  A bound added after
-a model keeps the part of the trail that does not break it, and the
-next search with the same assumptions continues from there instead of
-from the root.  Everything is deterministic — ties in the decision
-heuristic break on variable index — so repeated runs produce identical
-models.
+solver serves a whole optimization with its learned clauses kept.
+Each criterion level needs one bound: its guard literal weighs 1 while
+the guard is assumed false, and :meth:`Solver.tighten` lowers the
+bound in place after every model, keeping the part of the trail that
+honours it, so the next search under the same assumptions continues
+from there instead of from the root.  Everything is deterministic —
+ties in the decision heuristic break on variable index — so repeated
+runs produce identical models.
 
 Literals are signed integers (variable ``v`` appears as ``v`` and
 ``-v``); variables are numbered from 1.  Per-literal arrays are
@@ -140,51 +140,45 @@ class Solver:
         self.watches[out[0]].append(out)
         self.watches[out[1]].append(out)
 
-    def add_atmost(self, lits: Sequence[int], weights: Sequence[int], bound: int) -> None:
+    def add_atmost(self, lits: Sequence[int], weights: Sequence[int], bound: int) -> AtMost:
         """Require the true literals among ``lits`` to weigh at most ``bound``.
 
-        Valid before search or between searches.  Literals fixed at the
-        root are folded into the bound.  The rest of the assignment is
-        kept where it honours the bound: when it does not, the solver
-        backtracks only to just below the level at which the true
-        literals first weigh too much, and the literals the bound then
-        forces false are enqueued with it as their reason.  A literal
-        heavier than the whole bound is forced false at the root.
+        Valid before search or between searches.  Starts from the root,
+        merges duplicate literals and returns the constraint, whose
+        bound :meth:`tighten` can lower later.
         """
-        if not self.ok:
-            return
-        lval, level = self.lval, self.level
+        self._backtrack(0)
         merged: dict[int, int] = {}
         for lit, weight in zip(lits, weights):
             merged[lit] = merged.get(lit, 0) + weight
-        kept: dict[int, int] = {}
+        constraint = AtMost(merged, bound)
         for lit, weight in merged.items():
-            if lval[lit] != 0 and level[abs(lit)] == 0:
-                if lval[lit] == 1:
-                    bound -= weight
-            else:
-                kept[lit] = weight
-        if bound < 0:
-            self.ok = False
-            return
-        heavy = [lit for lit, weight in kept.items() if weight > bound]
-        if heavy:
-            self._backtrack(0)
-            for lit in heavy:
-                del kept[lit]
-                if not self._enqueue(-lit, None):
-                    return
-        if sum(kept.values()) <= bound:
-            return  # can never trip
-        constraint = AtMost(kept, bound)
-        for lit, weight in kept.items():
             self.card_occur[lit].append((constraint, weight))
-            if lval[lit] == 1:
+            if self.lval[lit] == 1:
                 constraint.true_weight += weight
+        self.tighten(constraint, bound)
+        return constraint
+
+    def tighten(self, constraint: AtMost, bound: int) -> None:
+        """Lower the bound of ``constraint`` to ``bound`` in place.
+
+        Valid between searches; learned clauses stay implied, since the
+        constraint only gets stronger.  The assignment is kept where it
+        honours the bound: when it does not, the solver backtracks to
+        just below the level at which the true literals first weigh too
+        much.  The literals that no longer fit are then enqueued false
+        with the constraint as their reason; at the root that rules out
+        every literal heavier than the bound, and a bound the root
+        already breaks makes the formula unsatisfiable.
+        """
+        constraint.bound = bound
+        lval, level = self.lval, self.level
         if constraint.true_weight > bound:
             running = 0
             for lit_level, weight in sorted(
-                (level[abs(lit)], weight) for lit, weight in kept.items() if lval[lit] == 1
+                (level[abs(lit)], weight)
+                for lit, weight in zip(constraint.lits, constraint.weights)
+                if lval[lit] == 1
             ):
                 running += weight
                 if running > bound:

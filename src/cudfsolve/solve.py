@@ -6,13 +6,13 @@ requests, dependencies, conflicts and recommendations): one variable
 per unit, in document order, plus derived per-name variables for the
 objective counts.  The criteria are read back from the ``criterion``
 facts and optimized one at a time, most significant first, all in one
-live solver built once per solve.  Every model a level finds adds the
-next tighter bound, guarded by the level's relax literal and searched
-under the assumption that the literal is false; the search goes on from
-the model's trail, and learned clauses are kept.  When the solver
-reports the guarded bound unreachable, that proves the level's optimum:
-the relax literal is fixed true, which retracts the guarded bounds, and
-a permanent bound holds the level at its optimum while the next levels
+live solver built once per solve, with learned clauses kept.  Each
+level gets one bound on its literals plus a guard literal's negation
+weighing 1, at the incumbent's count: searched under the assumption
+that the guard is false, a model must beat the incumbent, and the
+bound is tightened in place to each model's count.  When no better
+model exists the level's optimum is proven; fixing the guard true
+leaves the same bound holding the level there while the next levels
 improve.  For tiny universes :func:`brute_force` grinds through every
 subset and is the final word in disagreements.
 """
@@ -259,21 +259,16 @@ def solve(facts: FactSet, *, limits: SolveLimits | None = None) -> SolveOutcome:
         return SolveOutcome(Status.TIMED_OUT)
 
     for level, (lits, weights) in enumerate(terms):
-        if counts[level] > 0:
-            # while -relax is assumed it weighs total - bound, leaving the
-            # level's literals ``bound``; fixing relax retracts the bound
-            relax = solver.new_var()
-            total = sum(weights)
-            while counts[level] > 0:
-                bound = counts[level] - 1
-                solver.add_atmost(lits + [-relax], weights + [total - bound], total)
-                result = search(-relax)
-                if result is Result.UNKNOWN:
-                    return SolveOutcome(Status.TIMED_OUT, solution())
-                if result is Result.UNSAT:
-                    break
-            solver.add_clause([relax])
-        solver.add_atmost(lits, weights, counts[level])
+        guard = solver.new_var()  # -guard weighs 1: a model must beat the incumbent
+        bound = solver.add_atmost(lits + [-guard], weights + [1], counts[level])
+        while counts[level] > 0:
+            result = search(-guard)
+            if result is Result.UNKNOWN:
+                return SolveOutcome(Status.TIMED_OUT, solution())
+            if result is Result.UNSAT:
+                break
+            solver.tighten(bound, counts[level])
+        solver.add_clause([guard])
 
     return SolveOutcome(Status.OPTIMAL, solution())
 

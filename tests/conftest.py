@@ -91,9 +91,9 @@ def scenario_index(scenario_doc):
     return DocIndex(scenario_doc)
 
 
-def _upgrade_heavy(seed):
+def _upgrade_heavy(seed, packages=30):
     rng = random.Random(seed)
-    doc = generate_instance(seed, packages=30, installed_fraction=0.5, provides_density=0.7)
+    doc = generate_instance(seed, packages=packages, installed_fraction=0.5, provides_density=0.7)
     names = sorted({desc.name for desc in doc} | {f"virt{i}" for i in (1, 2)})
 
     def atom(op_pool):

@@ -285,15 +285,23 @@ def assert_model_satisfies(model, clauses, atmosts):
         assert weight_of(model, lits, weights) <= bound, (lits, weights, bound)
 
 
+def assert_bound_propagated(s, lits, weights, bound):
+    # tighten leaves no free literal that the bound has no room for
+    slack = bound - sum(w for l, w in zip(lits, weights) if s.value(l) == 1)
+    assert slack >= 0
+    assert all(w <= slack for l, w in zip(lits, weights) if s.value(l) == 0)
+
+
 @pytest.mark.parametrize("rescale_limit", [1e100, 1.5])
 def test_incremental_bounds_agree_with_enumeration(monkeypatch, rescale_limit):
-    # one live solver, a weighted bound tightened between searches, two steps
-    # for good and then two guarded by an assumed literal, as the optimizer
-    # uses them: back to back under the same assumptions the trail is kept.
+    # one live solver, a weighted bound tightened between searches: two steps
+    # add a bound for good, then two tighten one guarded bound in place, as
+    # the optimizer does, searched under the assumption that its guard is
+    # false: back to back under the same assumptions the trail is kept.
     # A low rescale limit makes every solver rescale its activities early.
     monkeypatch.setattr("cudfsolve.sat._RESCALE_LIMIT", rescale_limit)
     rng = random.Random(5150)
-    guarded_unsat = 0
+    guarded_unsat = tightened = 0
     for round_number in range(400):
         n = rng.randint(3, 7)
         s = Solver()
@@ -313,21 +321,30 @@ def test_incremental_bounds_agree_with_enumeration(monkeypatch, rescale_limit):
                 lits = [v if rng.random() < 0.7 else -v for v in chosen]
                 weights = [rng.randint(1, 3) for _ in lits]
                 total = sum(weights)
-                relax = None
+                guard = None
             if model is not None and weight_of(model, lits, weights) > 0:
                 bound = max(weight_of(model, lits, weights) - rng.randint(1, 2), 0)
             else:
                 bound = rng.randint(0, total)
             if step // 2 % 2:
-                if relax is None:
-                    relax = s.new_var()
-                atmost = (lits + [-relax], weights + [total - bound], total)
-                assumptions = [-relax]
+                # while -guard is assumed it weighs 1, leaving the literals ``bound``
+                if guard is None:
+                    guard = s.new_var()
+                    constraint = s.add_atmost(lits + [-guard], weights + [1], bound + 1)
+                    atmosts.append(None)
+                    guarded = len(atmosts) - 1
+                else:
+                    assert bound + 1 <= constraint.bound
+                    s.tighten(constraint, bound + 1)
+                    tightened += 1
+                atmosts[guarded] = (lits + [-guard], weights + [1], bound + 1)
+                assumptions = [-guard]
             else:
-                atmost = (lits, weights, bound)
+                atmosts.append((lits, weights, bound))
+                s.add_atmost(*atmosts[-1])
                 assumptions = []
-            atmosts.append(atmost)
-            s.add_atmost(*atmost)
+            if s.ok:
+                assert_bound_propagated(s, *atmosts[guarded if assumptions else -1])
             expected = brute_sat(s.num_vars, clauses + [[a] for a in assumptions], atmosts)
             result = s.solve(assumptions=assumptions)
             assert (result is Result.SAT) == expected, (round_number, step)
@@ -337,9 +354,12 @@ def test_incremental_bounds_agree_with_enumeration(monkeypatch, rescale_limit):
                 continue
             if not assumptions:
                 break  # the formula itself is unsatisfiable now
-            # only the assumption failed: the solver lives on without it
-            guarded_unsat += 1
-            assert s.ok
+            # the assumption failed; unless the fixed guard breaks the
+            # formula itself, the solver lives on without it
+            guarded_unsat += s.ok
+            clauses.append([guard])  # as the optimizer closes a level
+            s.add_clause([guard])
+            guard = None
             expected = brute_sat(s.num_vars, clauses, atmosts)
             result = s.solve()
             assert (result is Result.SAT) == expected, (round_number, step)
@@ -347,10 +367,7 @@ def test_incremental_bounds_agree_with_enumeration(monkeypatch, rescale_limit):
                 break
             model = s.model()
             assert_model_satisfies(model, clauses, atmosts)
-            clauses.append([relax])  # retract the guarded bounds for good
-            s.add_clause([relax])
-            relax = None
-    assert guarded_unsat > 50
+    assert guarded_unsat > 100 and tightened > 40
 
 
 def test_luby_sequence():

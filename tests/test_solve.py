@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from conftest import _upgrade_heavy
 from test_acceptance import _corpus_knobs
 from test_parser import _fuzz_document
 
@@ -266,6 +267,18 @@ def test_one_model_build_per_solve(monkeypatch, scenario_doc):
     assert len(builds) == 1
 
 
+def test_one_bound_per_level(monkeypatch):
+    # each criterion level adds one bound and lowers it in place after
+    # every model, however many bound steps the level takes
+    bounds, tightenings = [], []
+    count_calls(monkeypatch, Solver, "add_atmost", bounds)
+    count_calls(monkeypatch, Solver, "tighten", tightenings)
+    doc = generate_instance(7, packages=120, installed_fraction=0.5)
+    assert solve_document(doc, TRENDY).status is Status.OPTIMAL
+    assert len(bounds) == len(TRENDY)
+    assert len(tightenings) > 2 * len(TRENDY)
+
+
 def test_preprocessing_counts_against_the_wall_clock(monkeypatch, scenario_doc):
     module = importlib.import_module("cudfsolve.solve")
     original = module.generate
@@ -348,3 +361,36 @@ def test_solver_matches_the_oracle_up_to_its_size_cap():
             solved += got is not None
     assert not mismatches
     assert solved >= 20
+
+
+def test_upgrades_that_reach_a_provide_match_the_oracle():
+    # generated upgrades name installed real packages, which nothing else
+    # provides; these upgrade any name, and two in five packages provide one
+    mismatches, reaching, open_ended, feasible = [], 0, 0, 0
+    for seed in range(40):
+        doc = _upgrade_heavy(seed, packages=8 + seed % 9)
+        index = DocIndex(doc)
+        upgraded = {atom.name for c in index.effective.upgrade.clauses for atom in c.atoms}
+        provides = [
+            atom for desc in doc for c in desc.provides.clauses for atom in c.atoms
+            if atom.name in upgraded
+        ]
+        reaching += bool(provides)
+        open_ended += any(atom.bound is None for atom in provides)
+        for criteria in (PARANOID, TRENDY):
+            oracle = brute_force(doc, criteria, _index=index)
+            expected = None if oracle is None else oracle.objective.key()
+            feasible += criteria is PARANOID and oracle is not None
+            for use_closure in (True, False):
+                try:
+                    solution = solve_document(doc, criteria, use_closure=use_closure).solution
+                except InfeasibleInput:
+                    solution = None
+                if solution is not None:
+                    assert validate_solution(doc, solution.installed, _index=index).ok
+                got = None if solution is None else solution.objective.key()
+                if got != expected:
+                    mismatches.append((seed, str(criteria), use_closure, got, expected))
+    assert not mismatches
+    # measured 32, 22 and 11: the floors keep the path covered
+    assert reaching >= 30 and open_ended >= 20 and feasible >= 10
