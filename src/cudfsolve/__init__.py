@@ -6,7 +6,7 @@ that are optimal under lexicographic criteria such as ``paranoid`` and
 ``trendy``.
 """
 
-from .closure import ClosureResult, check_feasible, compute_closure, compute_out, full_scope
+from .closure import ClosureResult, compute_closure, compute_out, full_scope
 from .criteria import (
     PARANOID,
     TRENDY,
@@ -41,8 +41,6 @@ from .model import (
     VersionBound,
     effective_request,
     make_document,
-    max_version,
-    versions_of,
 )
 from .parser import (
     ParseError,
@@ -118,7 +116,6 @@ __all__ = [
     "VersionBound",
     "brute_force",
     "build_problem",
-    "check_feasible",
     "compute_closure",
     "compute_out",
     "compute_sets",
@@ -128,7 +125,6 @@ __all__ = [
     "generate_facts",
     "generate_instance",
     "make_document",
-    "max_version",
     "model_stats",
     "parse_criteria",
     "parse_document",
@@ -140,5 +136,4 @@ __all__ = [
     "solve",
     "solve_document",
     "validate_solution",
-    "versions_of",
 ]

@@ -55,7 +55,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     common(p_solve)
     p_solve.add_argument(
         "--timeout",
-        type=_seconds,
+        type=_number("seconds >= 0"),
         default=300.0,
         help="wall-clock budget in seconds (default 300)",
     )
@@ -71,30 +71,35 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("solution", help="solution file (CUDF installed stanzas)")
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
+    probability = _number("a probability in [0, 1]", 1)
     p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.add_argument("--packages", type=_at_least(1), default=20, help="number of package stanzas")
     p_gen.add_argument("--max-versions", type=_at_least(1), default=3)
-    p_gen.add_argument("--installed-fraction", type=float, default=0.4)
-    p_gen.add_argument("--depends-density", type=float, default=0.5)
-    p_gen.add_argument("--conflicts-density", type=float, default=0.2)
-    p_gen.add_argument("--provides-density", type=float, default=0.15)
-    p_gen.add_argument("--recommends-density", type=float, default=0.2)
+    p_gen.add_argument("--installed-fraction", type=probability, default=0.4)
+    p_gen.add_argument("--depends-density", type=probability, default=0.5)
+    p_gen.add_argument("--conflicts-density", type=probability, default=0.2)
+    p_gen.add_argument("--provides-density", type=probability, default=0.15)
+    p_gen.add_argument("--recommends-density", type=probability, default=0.2)
     p_gen.add_argument("--install-requests", type=_at_least(0), default=2)
     p_gen.add_argument("--upgrade-requests", type=_at_least(0), default=1)
     p_gen.add_argument("--remove-requests", type=_at_least(0), default=0)
     return parser
 
 
-def _seconds(text: str) -> float:
-    """Parse ``--timeout``: zero or more seconds, never NaN."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not value >= 0:  # NaN compares false, and would switch the deadline off
-        raise argparse.ArgumentTypeError(f"expected seconds >= 0, got {text!r}")
-    return value
+def _number(expected: str, high: float = float("inf")):
+    """Parser for ``--timeout`` (>= 0) and ``gen``'s fraction and densities (in [0, 1])."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if not 0 <= value <= high:  # NaN fails, and would switch the deadline off
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _at_least(minimum: int):

@@ -50,11 +50,9 @@ def compute_out(doc: CudfDocument, *, _index: DocIndex | None = None) -> frozens
         omax: dict[str, float | None] = {
             name: index.provided_max(index.installed, name) for name in mentioned
         }
-        for desc in doc.packages:
-            pid = desc.id
+        accepted = set(index.providers(clause))
+        for pid in {pid for name in mentioned for pid in index.touching.get(name, ())}:
             provided = [name for name in mentioned if name in index.exact[pid]]
-            if not provided:
-                continue
             if any(name in index.all_names[pid] for name in provided):
                 out.add(pid)  # provides every version of an upgraded name
                 continue
@@ -66,24 +64,9 @@ def compute_out(doc: CudfDocument, *, _index: DocIndex | None = None) -> frozens
             highest = omax[name]
             if highest is not None and version < highest:
                 out.add(pid)  # would downgrade below the installed version
-            elif not index.clause_matches(clause, pid):
+            elif pid not in accepted:
                 out.add(pid)  # only provides a version the clause rejects
     return frozenset(out)
-
-
-def check_feasible(
-    doc: CudfDocument,
-    out: frozenset[PackageId],
-    *,
-    _index: DocIndex | None = None,
-) -> bool:
-    """Whether every install and upgrade clause still has a provider."""
-    index = _index if _index is not None else DocIndex(doc)
-    allowed = frozenset(doc.universe() - out)
-    for clause in index.effective.install.clauses + index.effective.upgrade.clauses:
-        if not index.providers(clause, allowed):
-            return False
-    return True
 
 
 def compute_closure(
@@ -167,8 +150,8 @@ def full_scope(doc: CudfDocument, *, _index: DocIndex | None = None) -> ClosureR
     """
     index = _index if _index is not None else DocIndex(doc)
     out = compute_out(doc, _index=index)
-    if not check_feasible(doc, out, _index=index):
-        return ClosureResult(out=out, closure=frozenset(), feasible=False, iterations=0)
-    return ClosureResult(
-        out=out, closure=frozenset(doc.universe() - out), feasible=True, iterations=0
-    )
+    allowed = frozenset(doc.universe() - out)
+    for clause in index.effective.install.clauses + index.effective.upgrade.clauses:
+        if not index.providers(clause, allowed):
+            return ClosureResult(out=out, closure=frozenset(), feasible=False, iterations=0)
+    return ClosureResult(out=out, closure=allowed, feasible=True, iterations=0)

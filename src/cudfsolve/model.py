@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import DuplicatePackage, InvalidProvide, InvalidVersion, UnknownName
+from .errors import DuplicatePackage, InvalidProvide, InvalidVersion
 
 #: Largest version value accepted anywhere (machine-word sized).
 MAX_VERSION = 2**63 - 1
@@ -242,19 +242,6 @@ def make_document(
     for prop in ("install", "remove", "upgrade"):
         _check_formula("request", prop, getattr(request, prop))
     return CudfDocument(packages=packages, request=request)
-
-
-def versions_of(doc: CudfDocument, name: str) -> tuple[int, ...]:
-    """All versions of ``name`` in the document, ascending."""
-    found = sorted(p.version for p in doc.packages if p.name == name)
-    if not found:
-        raise UnknownName(name)
-    return tuple(found)
-
-
-def max_version(doc: CudfDocument, name: str) -> int:
-    """The highest version of ``name`` present in the document."""
-    return versions_of(doc, name)[-1]
 
 
 def effective_request(doc: CudfDocument) -> Request:

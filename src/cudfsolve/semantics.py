@@ -104,13 +104,12 @@ class DocIndex:
             bound.op.holds(v, bound.value) for v in exact
         )
 
-    def clause_matches(self, clause: Clause, pid: PackageId) -> bool:
-        return any(self.atom_matches(atom, pid) for atom in clause.atoms)
-
     def providers(
         self, clause: Clause, allowed: frozenset[PackageId] | None = None
     ) -> list[PackageId]:
-        """Providers of ``clause`` sorted by name then version, optionally filtered."""
+        """Who in ``allowed`` (default: all) serves ``clause``, by name then version.
+
+        The one matching query: preprocessing, facts and validation all ask it."""
         seen: set[PackageId] = set()
         for atom in clause.atoms:
             for pid in self.touching.get(atom.name, ()):
@@ -208,9 +207,6 @@ class ObjectiveVector:
         return tuple(
             v.count if v.polarity is Polarity.MINUS else -v.count for v in self.values
         )
-
-    def better_than(self, other: "ObjectiveVector") -> bool:
-        return self.key() < other.key()
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.values) if self.values else "(no criteria)"
@@ -320,35 +316,29 @@ def validate_solution(
     ordered = sorted(chosen)
     violations: list[Violation] = []
 
-    def satisfied(clause: Clause) -> bool:
-        return any(index.atom_matches(atom, pid) for atom in clause.atoms for pid in ordered)
-
     for clause in index.effective.install.clauses:
-        if not satisfied(clause):
+        if not index.providers(clause, chosen):
             violations.append(UnsatisfiedRequest("install", clause))
     for clause in index.effective.upgrade.clauses:
-        if not satisfied(clause):
+        if not index.providers(clause, chosen):
             violations.append(UnsatisfiedRequest("upgrade", clause))
 
     for clause in index.effective.remove.clauses:
-        for pid in ordered:
-            if index.clause_matches(clause, pid):
-                violations.append(
-                    OutPackageInstalled(pid, f"matches the remove request '{clause}'")
-                )
+        for pid in index.providers(clause, chosen):
+            violations.append(
+                OutPackageInstalled(pid, f"matches the remove request '{clause}'")
+            )
 
     for pid in ordered:
-        desc = index.by_id[pid]
-        for clause in desc.depends.clauses:
-            if not satisfied(clause):
+        for clause in index.by_id[pid].depends.clauses:
+            if not index.providers(clause, chosen):
                 violations.append(UnsatisfiedDependency(pid, clause))
 
     for pid in ordered:
-        desc = index.by_id[pid]
-        for clause in desc.conflicts.clauses:
+        for clause in index.by_id[pid].conflicts.clauses:
             for atom in clause.atoms:
-                for other in ordered:
-                    if other != pid and index.atom_matches(atom, other):
+                for other in index.providers(Clause((atom,)), chosen):
+                    if other != pid:
                         violations.append(ConflictViolated(pid, other))
 
     for clause in index.effective.upgrade.clauses:
@@ -357,7 +347,7 @@ def validate_solution(
         pairs: set[tuple[str, int]] = set()
         for name in mentioned:
             omax = index.provided_max(index.installed, name)
-            for pid in ordered:
+            for pid in sorted(chosen.intersection(index.touching.get(name, ()))):
                 if name in index.all_names[pid]:
                     flagged.add(name)
                     if omax is not None and omax > 1:
@@ -384,11 +374,5 @@ def validate_solution(
             flagged.add(min(n for n, _ in pairs))
         violations.extend(UpgradeMultiVersion(n) for n in sorted(flagged))
 
-    # deduplicate while keeping first-reported order
-    unique: list[Violation] = []
-    seen: set[Violation] = set()
-    for v in violations:
-        if v not in seen:
-            seen.add(v)
-            unique.append(v)
-    return ValidationReport(ok=not unique, violations=tuple(unique))
+    unique = tuple(dict.fromkeys(violations))  # first-reported order
+    return ValidationReport(ok=not unique, violations=unique)

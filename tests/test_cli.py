@@ -254,6 +254,32 @@ def test_gen_negative_request_counts_are_usage_errors(capsys, flag):
     assert f"{flag}: expected a whole number >= 0, got '-1'" in capsys.readouterr().err
 
 
+PROBABILITY_FLAGS = [
+    "--installed-fraction",
+    "--depends-density",
+    "--conflicts-density",
+    "--provides-density",
+    "--recommends-density",
+]
+
+
+@pytest.mark.parametrize("flag", PROBABILITY_FLAGS)
+@pytest.mark.parametrize("value", ["1.5", "-1", "nan", "inf", "half"])
+def test_gen_probabilities_outside_unit_interval_are_usage_errors(capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main(["gen", f"{flag}={value}"])
+    assert info.value.code == 2
+    assert f"{flag}: expected a probability in [0, 1], got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", PROBABILITY_FLAGS)
+@pytest.mark.parametrize("value", ["0", "1", "0.25"])
+def test_gen_accepts_probabilities_in_unit_interval(capsys, flag, value):
+    code, out, err = run_cli(capsys, "gen", f"{flag}={value}")
+    assert (code, err) == (0, "")
+    assert out.startswith("package: ")
+
+
 @pytest.mark.parametrize("flag", ["--install-requests", "--upgrade-requests", "--remove-requests"])
 def test_gen_accepts_zero_requests(capsys, flag):
     code, out, err = run_cli(capsys, "gen", flag, "0")

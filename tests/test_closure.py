@@ -3,7 +3,6 @@ import random
 from cudfsolve import (
     DocIndex,
     PackageId,
-    check_feasible,
     compute_closure,
     compute_out,
     full_scope,
@@ -61,7 +60,7 @@ def test_out_covers_upgrade_misfits():
 
 def test_feasibility_spots_an_unprovidable_install():
     doc = parse_document("package: a\nversion: 1\n\nrequest: \ninstall: ghost\n")
-    assert not check_feasible(doc, frozenset())
+    assert not full_scope(doc).feasible
     result = compute_closure(doc, PARANOID)
     assert not result.feasible and result.closure == frozenset()
 
@@ -76,10 +75,8 @@ def test_feasibility_accounts_for_out_packages():
         "request: \nremove: bad\nupgrade: a > 1\n"
     )
     doc = parse_document(text)
-    assert check_feasible(doc, frozenset())
-    out = compute_out(doc)
-    assert pid("bad", 1) in out
-    assert check_feasible(doc, out)  # a=2 still provides the upgrade
+    assert pid("bad", 1) in compute_out(doc)
+    assert full_scope(doc).feasible  # a=2 still provides the upgrade
 
 
 def test_scenario_closure_under_paranoid(scenario_doc):
@@ -133,7 +130,7 @@ def test_each_upgrade_candidate_provides_one_accepted_version(upgrade_heavy_docs
                 pairs = [(n, v) for n in mentioned for v in index.exact[desc.id].get(n, ())]
                 assert len(pairs) <= 1, (desc.id, clause, pairs)
                 if pairs:
-                    assert index.clause_matches(clause, desc.id), (desc.id, clause)
+                    assert desc.id in index.providers(clause), (desc.id, clause)
                     provided += 1
     assert provided > 100
 

@@ -16,8 +16,6 @@ from cudfsolve import (
     VersionBound,
     effective_request,
     make_document,
-    max_version,
-    versions_of,
 )
 from cudfsolve.model import MAX_VERSION, TRUE_FORMULA, false_formula
 
@@ -106,14 +104,6 @@ def test_provides_must_be_single_pinned_atoms():
         make_document([pkg("a", 1, provides=ranged)])
     pinned = formula([Constraint("v", VersionBound(RelOp.EQ, 2))])
     make_document([pkg("a", 1, provides=pinned)])  # fine
-
-
-def test_versions_of_and_max_version():
-    doc = make_document([pkg("a", 3), pkg("a", 1), pkg("b", 2)])
-    assert versions_of(doc, "a") == (1, 3)
-    assert max_version(doc, "a") == 3
-    with pytest.raises(UnknownName):
-        versions_of(doc, "zzz")
 
 
 def test_effective_request_without_keeps_is_the_request_itself():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cudfsolve import (
@@ -13,6 +15,7 @@ from cudfsolve import (
     VersionBound,
     compute_sets,
     evaluate,
+    generate_instance,
     make_document,
     parse_criteria,
     parse_document,
@@ -120,6 +123,38 @@ def test_index_providers_are_sorted_and_deduplicated(scenario_index):
     assert scenario_index.providers(clause, allowed) == [pid("conf", 2)]
 
 
+def _scanned_providers(index, clause, allowed):
+    return [p for p in sorted(allowed) if any(index.atom_matches(a, p) for a in clause.atoms)]
+
+
+def test_index_providers_match_a_plain_scan(upgrade_heavy_docs):
+    # the touching map must find exactly what a scan of the whole set finds
+    rng = random.Random(7)
+    docs = [
+        generate_instance(seed, packages=40, upgrade_requests=2, remove_requests=1)
+        for seed in range(30)
+    ]
+    checked = 0
+    for doc in docs + upgrade_heavy_docs:
+        index = DocIndex(doc)
+        universe = doc.universe()
+        subset = frozenset(p for p in universe if rng.random() < 0.5)
+        request = index.effective
+        clauses = [
+            clause
+            for formula in (request.install, request.remove, request.upgrade)
+            for clause in formula.clauses
+        ]
+        for d in doc:
+            for formula in (d.depends, d.conflicts, d.recommends):
+                clauses.extend(formula.clauses)
+        for clause in clauses:
+            assert index.providers(clause) == _scanned_providers(index, clause, universe)
+            assert index.providers(clause, subset) == _scanned_providers(index, clause, subset)
+            checked += 1
+    assert checked > 1000
+
+
 def test_index_umax(scenario_index):
     assert scenario_index.umax == {
         "inst": 3,
@@ -216,7 +251,7 @@ def test_plus_criteria_flip_the_comparison():
     )
     small = evaluate(doc, [pid("a", 1)], seq)
     large = evaluate(doc, [pid("a", 1), pid("b", 1)], seq)
-    assert large.better_than(small)
+    assert large.key() < small.key()
 
 
 # ---------------------------------------------------------------- validity
@@ -321,3 +356,46 @@ def test_violations_are_deduplicated():
     doc = parse_document(text)
     report = validate_solution(doc, [pid("a", 1), pid("b", 1)])
     assert len(report.violations) == len(set(report.violations))
+
+
+def test_violations_come_pid_then_clause_then_atom_then_other():
+    text = (
+        "package: a\nversion: 1\ndepends: ghost\nconflicts: y | x, b\n\n"
+        "package: b\nversion: 1\nprovides: v\nconflicts: a\n\n"
+        "package: v\nversion: 1\n\n"
+        "package: x\nversion: 1\n\n"
+        "package: y\nversion: 1\nprovides: v = 2\n\n"
+        "request: \ninstall: ghost\nremove: v\n"
+    )
+    doc = parse_document(text)
+    chosen = [pid(n, 1) for n in ("y", "x", "v", "b", "a")]
+    clause = {c: parse_formula(c).clauses[0] for c in ("ghost", "v")}
+    assert validate_solution(doc, chosen).violations == (
+        UnsatisfiedRequest("install", clause["ghost"]),
+        OutPackageInstalled(pid("b", 1), "matches the remove request 'v'"),
+        OutPackageInstalled(pid("v", 1), "matches the remove request 'v'"),
+        OutPackageInstalled(pid("y", 1), "matches the remove request 'v'"),
+        UnsatisfiedDependency(pid("a", 1), clause["ghost"]),
+        ConflictViolated(pid("a", 1), pid("y", 1)),
+        ConflictViolated(pid("a", 1), pid("x", 1)),
+        ConflictViolated(pid("a", 1), pid("b", 1)),
+        ConflictViolated(pid("b", 1), pid("a", 1)),
+    )
+
+
+def test_validation_is_linear_in_the_selection(monkeypatch):
+    # a referee that scans the selection for every clause makes tens of
+    # thousands of atom checks on a few hundred installed packages
+    doc = generate_instance(0, packages=400, installed_fraction=1.0, conflicts_density=0.3)
+    chosen = doc.installed_ids()
+    calls = 0
+    atom_matches = DocIndex.atom_matches
+
+    def counted(self, atom, pid):
+        nonlocal calls
+        calls += 1
+        return atom_matches(self, atom, pid)
+
+    monkeypatch.setattr(DocIndex, "atom_matches", counted)
+    validate_solution(doc, chosen)
+    assert calls < 10 * len(chosen), (calls, len(chosen))
