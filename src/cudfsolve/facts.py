@@ -3,15 +3,15 @@
 The output is a flat set of ground facts over interned package sets:
 ``depends(name, version, s3)`` says the package needs a member of set
 ``s3`` installed, ``satisfies(name, version, s3)`` enumerates that
-set, and so on.  The bundled solver reads this one representation
-directly, and it can be rendered as text for external logic-programming
-tools.
+set, and so on.  The bundled solver reads these facts and nothing
+else, and :func:`render_facts` prints all of them as text for external
+logic-programming tools.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .closure import ClosureResult
@@ -33,7 +33,7 @@ class SetId:
 
 @dataclass(frozen=True)
 class FactSet:
-    """Everything the solver needs to know about one problem."""
+    """Everything the solver knows about one problem: what :func:`render_facts` prints."""
 
     units: frozenset[PackageId]
     installed: frozenset[PackageId]
@@ -45,8 +45,6 @@ class FactSet:
     criteria: tuple[tuple[str, int], ...]
     #: every interned set, each referenced by some fact above
     members: Mapping[SetId, frozenset[PackageId]]
-    #: the source document's lookup; the solver's variable order is its document order
-    index: DocIndex = field(compare=False)
 
     @property
     def satisfies(self) -> tuple[tuple[PackageId, SetId], ...]:
@@ -140,7 +138,6 @@ def generate(
         requests=tuple(requests),
         criteria=criteria.facts(),
         members=members,
-        index=index,
     )
 
 
@@ -149,7 +146,7 @@ _BARE_NAME = re.compile(r"[a-z][a-z0-9_]*")
 
 def _term(name: str) -> str:
     """Render a package name as a logic-program constant."""
-    if _BARE_NAME.fullmatch(name):
+    if _BARE_NAME.fullmatch(name) and name != "not":  # a keyword of gringo
         return name
     escaped = name.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'

@@ -2,19 +2,21 @@
 
 The propositional model is built from the fact set that
 :mod:`cudfsolve.facts` compiles (units plus interned provider sets for
-requests, dependencies, conflicts and recommendations): one variable
-per unit, in document order, plus derived per-name variables for the
-objective counts.  The criteria are read back from the ``criterion``
-facts and optimized one at a time, most significant first, all in one
-live solver built once per solve, with learned clauses kept.  Each
-level gets one bound on its literals plus a guard literal's negation
-weighing 1, at the incumbent's count: searched under the assumption
-that the guard is false, a model must beat the incumbent, and the
-bound is tightened in place to each model's count.  When no better
-model exists the level's optimum is proven; fixing the guard true
-leaves the same bound holding the level there while the next levels
-improve.  For tiny universes :func:`brute_force` grinds through every
-subset and is the final word in disagreements.
+requests, dependencies, conflicts and recommendations), and from
+nothing else: one variable per unit, in sorted order, plus derived
+per-name variables for the objective counts.  The criteria are read
+back from the ``criterion`` facts and optimized one at a time, most
+significant first, all in one live solver built once per solve, with
+learned clauses kept.  Each level gets one bound on its literals plus
+a guard literal's negation weighing 1, at the incumbent's count:
+searched under the assumption that the guard is false, a model must
+beat the incumbent, and the bound is tightened in place to each
+model's count.  When no better model exists the level's optimum is
+proven; fixing the guard true leaves the same bound holding the level
+there while the next levels improve.  :func:`solve_document`, which
+holds the document, checks the chosen selection with the referee and
+measures its objective.  For tiny universes :func:`brute_force` grinds
+through every subset and is the final word in disagreements.
 """
 
 from __future__ import annotations
@@ -69,9 +71,10 @@ def solve_document(
     use_closure: bool = True,
     _index: DocIndex | None = None,
 ) -> SolveOutcome:
-    """Parse-to-answer convenience: shrink, compile, optimize.
+    """Parse-to-answer convenience: shrink, compile, optimize, measure.
 
     The wall clock of ``limits`` covers the shrinking and compiling too.
+    Raises RuntimeError, a solver bug, when the answer breaks the document.
     """
     started = monotonic()
     limits = limits if limits is not None else SolveLimits()
@@ -84,7 +87,13 @@ def solve_document(
     if limits.wall_clock is not None:
         # a spent budget goes negative, so the search stops before it starts
         limits = replace(limits, wall_clock=limits.wall_clock - (monotonic() - started))
-    return solve(facts, limits=limits)
+    status, best = solve(facts, limits=limits)
+    if best is None:
+        return SolveOutcome(status)
+    report = validate_solution(doc, best, _index=index)
+    if not report.ok:
+        raise RuntimeError(f"solver answer breaks the document: {report.violations[0]}")
+    return SolveOutcome(status, Solution(best, evaluate(doc, best, criteria, _index=index)))
 
 
 # ----------------------------------------------------------------------
@@ -96,16 +105,13 @@ def _build_model(
 ) -> tuple[Solver, dict[PackageId, int], list[tuple[list[int], list[int]]]]:
     """Fresh solver with hard constraints plus, per level, the literals it minimizes.
 
-    One variable per unit, in document order; the levels come most
+    One variable per unit, in sorted order; the levels come most
     significant first.
     """
     solver = Solver()
     installed = facts.installed
     members = facts.members
-    invar: dict[PackageId, int] = {}
-    for desc in facts.index.doc:
-        if desc.id in facts.units:
-            invar[desc.id] = solver.new_var(phase=desc.id in installed)
+    invar = {pid: solver.new_var(phase=pid in installed) for pid in sorted(facts.units)}
 
     for sid in facts.requests:
         solver.add_clause([invar[q] for q in sorted(members[sid])])
@@ -216,22 +222,20 @@ def model_stats(facts: FactSet) -> dict[str, int]:
     }
 
 
-def solve(facts: FactSet, *, limits: SolveLimits | None = None) -> SolveOutcome:
-    """Optimize the criteria of ``facts``, most significant level first."""
+def solve(
+    facts: FactSet, *, limits: SolveLimits | None = None
+) -> tuple[Status, frozenset[PackageId] | None]:
+    """Optimize the criteria of ``facts``, most significant level first.
+
+    Returns the status and the best selection found, if any.
+    """
     limits = limits if limits is not None else SolveLimits()
     deadline = (
         monotonic() + limits.wall_clock if limits.wall_clock is not None else None
     )
     remaining = limits.max_steps
-    index = facts.index
-    criteria = CriteriaSeq.from_facts(facts.criteria)
     best: frozenset[PackageId] | None = None
     counts: list[int] = []
-
-    def solution() -> Solution:
-        """The selection with its objective, as the referee measures it."""
-        assert best is not None
-        return Solution(best, evaluate(index.doc, best, criteria, _index=index))
 
     def search(*assumptions: int) -> Result:
         """Solve within what is left of the budget; a model becomes the incumbent."""
@@ -253,10 +257,8 @@ def solve(facts: FactSet, *, limits: SolveLimits | None = None) -> SolveOutcome:
 
     solver, invar, terms = _build_model(facts)
     result = search()
-    if result is Result.UNSAT:
-        return SolveOutcome(Status.UNSATISFIABLE)
-    if result is Result.UNKNOWN:
-        return SolveOutcome(Status.TIMED_OUT)
+    if result is not Result.SAT:
+        return (Status.UNSATISFIABLE if result is Result.UNSAT else Status.TIMED_OUT), None
 
     for level, (lits, weights) in enumerate(terms):
         guard = solver.new_var()  # -guard weighs 1: a model must beat the incumbent
@@ -264,13 +266,13 @@ def solve(facts: FactSet, *, limits: SolveLimits | None = None) -> SolveOutcome:
         while counts[level] > 0:
             result = search(-guard)
             if result is Result.UNKNOWN:
-                return SolveOutcome(Status.TIMED_OUT, solution())
+                return Status.TIMED_OUT, best
             if result is Result.UNSAT:
                 break
             solver.tighten(bound, counts[level])
         solver.add_clause([guard])
 
-    return SolveOutcome(Status.OPTIMAL, solution())
+    return Status.OPTIMAL, best
 
 
 # ----------------------------------------------------------------------

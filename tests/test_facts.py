@@ -1,16 +1,25 @@
+import re
+
 import pytest
+from conftest import _upgrade_heavy
+from test_acceptance import _corpus_knobs
 
 from cudfsolve import (
+    DocIndex,
+    FactSet,
     InfeasibleInput,
     PackageId,
     SetId,
     compute_closure,
+    evaluate,
     full_scope,
     generate_facts,
     generate_instance,
     parse_criteria,
     parse_document,
     render_facts,
+    solve,
+    validate_solution,
 )
 
 PARANOID = parse_criteria("paranoid")
@@ -205,17 +214,93 @@ def test_rendered_facts_are_line_oriented_and_sorted(scenario_facts):
 
 
 def test_awkward_names_are_quoted():
-    text = (
-        "package: libstdc++6\nversion: 1\n\n"
-        "request: \ninstall: libstdc++6\n"
-    )
-    doc = parse_document(text)
-    facts = generate_facts(doc, PARANOID, full_scope(doc))
-    rendered = render_facts(facts)
-    assert 'unit("libstdc++6",1).' in rendered
+    for name in ("libstdc++6", "not"):  # `not` is a gringo keyword
+        doc = parse_document(f"package: {name}\nversion: 1\n\nrequest: \ninstall: {name}\n")
+        facts = generate_facts(doc, PARANOID, full_scope(doc))
+        rendered = render_facts(facts)
+        assert f'unit("{name}",1).' in rendered
+        assert f'satisfies("{name}",1,s1).' in rendered
+        assert read_facts(rendered) == facts
 
 
 def test_render_of_empty_facts():
     doc = parse_document("request: \n")
     facts = generate_facts(doc, parse_criteria(""), full_scope(doc))
     assert render_facts(facts) == ""
+
+
+_FACT = re.compile(r"([a-z]+)\((.*)\)\.")
+_ARG = re.compile(r'"(?:[^"\\]|\\.)*"|[^,]+')
+
+
+def read_facts(text):
+    """The fact set that ``render_facts`` printed as ``text``."""
+    rows = {}
+    for line in text.splitlines():
+        kind, args = _FACT.fullmatch(line).groups()
+        rows.setdefault(kind, []).append(_ARG.findall(args))
+
+    def name(term):
+        return re.sub(r"\\(.)", r"\1", term[1:-1]) if term.startswith('"') else term
+
+    def package(args):
+        return PackageId(name(args[0]), int(args[1]))
+
+    def set_id(term):
+        return SetId(int(term.removeprefix("s")))
+
+    def each(kind, parse):
+        return tuple(parse(args) for args in rows.get(kind, ()))
+
+    depends = each("depends", lambda a: (package(a), set_id(a[2])))
+    recommends = each("recommends", lambda a: (package(a), set_id(a[2]), int(a[3])))
+    conflicts = each("conflict", lambda a: (package(a), set_id(a[2])))
+    requests = each("request", lambda a: set_id(a[0]))
+    members = {sid: set() for _, sid, *_ in depends + recommends + conflicts}
+    members.update((sid, set()) for sid in requests)
+    for pid, sid in each("satisfies", lambda a: (package(a), set_id(a[2]))):
+        members.setdefault(sid, set()).add(pid)
+    return FactSet(
+        units=frozenset(each("unit", package)),
+        installed=frozenset(each("installed", package)),
+        newest=dict(each("newestversion", lambda a: (name(a[0]), int(a[1])))),
+        depends=depends,
+        recommends=recommends,
+        conflicts=conflicts,
+        requests=requests,
+        criteria=each("criterion", lambda a: (a[0], int(a[1]))),
+        members={sid: frozenset(pids) for sid, pids in members.items()},
+    )
+
+
+def test_printed_facts_are_the_whole_problem(upgrade_heavy_docs):
+    # the text `cudfsolve facts` prints reads back into a fact set that
+    # prints the same and solves to an answer just as good; about half
+    # the documents are infeasible before any fact is made
+    docs = [generate_instance(seed, **_corpus_knobs(seed)) for seed in range(260)]
+    docs += upgrade_heavy_docs + [_upgrade_heavy(seed) for seed in range(40, 400)]
+    printed, solved = set(), set()
+    for number, doc in enumerate(docs):
+        index = DocIndex(doc)
+        for criteria in (PARANOID, TRENDY):
+            try:
+                facts = generate_facts(doc, criteria, compute_closure(doc, criteria, _index=index))
+            except InfeasibleInput:
+                continue
+            text = render_facts(facts)
+            parsed = read_facts(text)
+            assert render_facts(parsed) == text
+            printed.add(number)
+            status, selection = solve(facts)
+            parsed_status, parsed_selection = solve(parsed)
+            assert parsed_status is status
+            if selection is None:
+                assert parsed_selection is None
+                continue
+            assert validate_solution(doc, parsed_selection, _index=index).ok
+            assert (
+                evaluate(doc, parsed_selection, criteria, _index=index).key()
+                == evaluate(doc, selection, criteria, _index=index).key()
+            )
+            solved.add(number)
+    assert len(printed) >= 300 and len(solved) >= 200

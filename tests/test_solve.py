@@ -9,6 +9,7 @@ from test_parser import _fuzz_document
 
 from cudfsolve import (
     CriteriaSeq,
+    CudfError,
     DocIndex,
     InfeasibleInput,
     PackageId,
@@ -41,7 +42,10 @@ def pid(name, version):
 
 
 def pigeonhole(pigeons, holes, criteria=CriteriaSeq(())):
-    """Place every pigeon, one per hole: UNSAT when pigeons > holes."""
+    """Place every pigeon, one per hole: UNSAT when pigeons > holes.
+
+    Returns the document and its facts over the whole universe.
+    """
     stanzas = []
     for p in range(pigeons):
         for h in range(holes):
@@ -54,7 +58,7 @@ def pigeonhole(pigeons, holes, criteria=CriteriaSeq(())):
         " | ".join(f"p{p}h{h}" for h in range(holes)) for p in range(pigeons)
     )
     doc = parse_document("\n".join(stanzas) + f"\nrequest: \ninstall: {install}\n")
-    return build_problem(doc, criteria, full_scope(doc))
+    return doc, build_problem(doc, criteria, full_scope(doc))
 
 
 def test_scenario_paranoid_optimum(scenario_doc):
@@ -167,23 +171,27 @@ def test_reported_objective_agrees_with_the_referee():
                 checked += 1
     assert checked > 0
     # an incumbent cut short by the budget is measured the same way
-    problem = pigeonhole(7, 7, criteria=parse_criteria("-new"))
-    outcome = solve(problem, limits=SolveLimits(max_steps=1, wall_clock=None))
-    assert outcome.status is Status.TIMED_OUT
-    assert outcome.solution.objective == evaluate(
-        problem.index.doc, outcome.solution.installed, parse_criteria("-new")
+    doc, _ = pigeonhole(7, 7)
+    fewest_new = parse_criteria("-new")
+    outcome = solve_document(
+        doc,
+        fewest_new,
+        limits=SolveLimits(max_steps=1, wall_clock=None),
+        use_closure=False,
     )
+    assert outcome.status is Status.TIMED_OUT
+    assert outcome.solution.objective == evaluate(doc, outcome.solution.installed, fewest_new)
 
 
 def test_solver_reads_the_printed_fact_set(scenario_doc):
     assert build_problem is generate_facts
     for criteria in (PARANOID, TRENDY):
         facts = generate_facts(scenario_doc, criteria, compute_closure(scenario_doc, criteria))
-        direct = solve(facts)
+        status, selection = solve(facts)
         whole = solve_document(scenario_doc, criteria)
-        assert direct.status is whole.status is Status.OPTIMAL
-        assert direct.solution.installed == whole.solution.installed
-        assert direct.solution.objective == whole.solution.objective
+        assert status is whole.status is Status.OPTIMAL
+        assert selection == whole.solution.installed
+        assert evaluate(scenario_doc, selection, criteria) == whole.solution.objective
 
 
 def test_empty_criteria_returns_any_valid_solution(scenario_doc):
@@ -194,27 +202,43 @@ def test_empty_criteria_returns_any_valid_solution(scenario_doc):
 
 
 def test_pigeonhole_problems():
-    fits = solve(pigeonhole(5, 5))
-    assert fits.status is Status.OPTIMAL
-    assert len(fits.solution.installed) == 5
-    crowded = solve(pigeonhole(6, 5))
-    assert crowded.status is Status.UNSATISFIABLE
+    status, selection = solve(pigeonhole(5, 5)[1])
+    assert status is Status.OPTIMAL
+    assert len(selection) == 5
+    status, selection = solve(pigeonhole(6, 5)[1])
+    assert status is Status.UNSATISFIABLE
+    assert selection is None
 
 
 def test_conflict_budget_gives_up_cleanly():
-    outcome = solve(pigeonhole(7, 6), limits=SolveLimits(max_steps=1, wall_clock=None))
-    assert outcome.status is Status.TIMED_OUT
-    assert outcome.solution is None
+    _, facts = pigeonhole(7, 6)
+    status, selection = solve(facts, limits=SolveLimits(max_steps=1, wall_clock=None))
+    assert status is Status.TIMED_OUT
+    assert selection is None
 
 
 def test_budget_exhaustion_keeps_the_incumbent():
-    problem = pigeonhole(7, 7, criteria=parse_criteria("-new"))
-    outcome = solve(problem, limits=SolveLimits(max_steps=1, wall_clock=None))
-    assert outcome.status is Status.TIMED_OUT
+    fewest_new = parse_criteria("-new")
+    doc, facts = pigeonhole(7, 7, criteria=fewest_new)
+    status, selection = solve(facts, limits=SolveLimits(max_steps=1, wall_clock=None))
+    assert status is Status.TIMED_OUT
     # the first model was found without a single conflict; tightening it
     # ran out of budget, so we keep what we have
-    assert outcome.solution is not None
-    assert outcome.solution.objective.key() == (7,)
+    assert selection is not None
+    assert evaluate(doc, selection, fewest_new).key() == (7,)
+
+
+@pytest.mark.parametrize("status", [Status.OPTIMAL, Status.TIMED_OUT])
+def test_solve_document_refuses_an_answer_that_breaks_the_document(
+    monkeypatch, scenario_doc, status
+):
+    # the referee checks every answer, a timed-out incumbent too; a
+    # broken one is a solver bug, not a problem with the input
+    module = importlib.import_module("cudfsolve.solve")
+    monkeypatch.setattr(module, "solve", lambda facts, limits: (status, frozenset()))
+    with pytest.raises(RuntimeError, match="unsatisfied request") as caught:
+        solve_document(scenario_doc, PARANOID)
+    assert not isinstance(caught.value, CudfError)
 
 
 def count_calls(monkeypatch, owner, name, tally):
