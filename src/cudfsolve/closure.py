@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .criteria import CriteriaSeq, Criterion, Polarity
 from .model import CudfDocument, PackageId
-from .semantics import DocIndex, _mentioned_names
+from .semantics import DocIndex
 
 
 @dataclass(frozen=True)
@@ -43,26 +43,20 @@ def compute_out(doc: CudfDocument, *, _index: DocIndex | None = None) -> frozens
     for clause in index.effective.remove.clauses:
         out.update(index.providers(clause))
 
-    for clause in index.effective.upgrade.clauses:
-        mentioned = _mentioned_names(clause)
-        if not mentioned:
-            continue
-        omax: dict[str, float | None] = {
-            name: index.provided_max(index.installed, name) for name in mentioned
-        }
+    for clause, highest in index.upgrades:
         accepted = set(index.providers(clause))
-        for pid in {pid for name in mentioned for pid in index.touching.get(name, ())}:
-            provided = [name for name in mentioned if name in index.exact[pid]]
-            if any(name in index.all_names[pid] for name in provided):
+        for pid in {pid for name in highest for pid in index.touching.get(name, ())}:
+            provided = {name: index.provides[pid].get(name, ()) for name in highest}
+            if None in provided.values():
                 out.add(pid)  # provides every version of an upgraded name
                 continue
-            pairs = [(name, v) for name in provided for v in index.exact[pid][name]]
+            pairs = [(name, v) for name, versions in provided.items() for v in versions]
             if len(pairs) >= 2:
                 out.add(pid)  # several versions of upgraded names at once
                 continue
             name, version = pairs[0]
-            highest = omax[name]
-            if highest is not None and version < highest:
+            top = highest[name]
+            if top is not None and version < top:
                 out.add(pid)  # would downgrade below the installed version
             elif pid not in accepted:
                 out.add(pid)  # only provides a version the clause rejects

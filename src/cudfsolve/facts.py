@@ -18,7 +18,7 @@ from .closure import ClosureResult
 from .criteria import CriteriaSeq, Criterion
 from .errors import InfeasibleInput
 from .model import CudfDocument, PackageId
-from .semantics import DocIndex, _mentioned_names
+from .semantics import DocIndex
 
 
 @dataclass(frozen=True, order=True)
@@ -107,15 +107,14 @@ def generate(
         if enemies:
             conflicts.setdefault((desc.id, intern(enemies)))
 
-    for clause in index.effective.upgrade.clauses:
+    for _, highest in index.upgrades:
         # compute_out leaves each candidate at most one provided (name,
         # version) of the upgraded names, and one the clause accepts
-        mentioned = _mentioned_names(clause)
         pair = {
             desc.id: (name, version)
             for desc in ordered
-            for name in mentioned
-            for version in index.exact[desc.id].get(name, ())
+            for name in highest
+            for version in index.provides[desc.id].get(name) or ()
         }
         for pid, mine in pair.items():
             rivals = {q for q, theirs in pair.items() if theirs != mine}

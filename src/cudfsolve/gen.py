@@ -128,7 +128,7 @@ def generate_instance(
 
     real_names = [name for name, _ in version_sets]
     virtual_names = [f"virt{i}" for i in range(1, max(1, packages // 12) + 1)]
-    all_names = real_names + virtual_names
+    target_names = real_names + virtual_names
 
     installed_by: dict[str, set[int]] = {}
     for name, versions in version_sets:
@@ -144,10 +144,10 @@ def generate_instance(
             installed = version in installed_by.get(name, ())
             depends = Formula(())
             if rng.random() < depends_density:
-                depends = _formula(rng, all_names, max_versions)
+                depends = _formula(rng, target_names, max_versions)
             conflicts = Formula(())
             if rng.random() < conflicts_density:
-                conflicts = _formula(rng, all_names, max_versions, max_atoms=1)
+                conflicts = _formula(rng, target_names, max_versions, max_atoms=1)
             provides = Formula(())
             if rng.random() < provides_density:
                 target = rng.choice(virtual_names)
@@ -160,7 +160,7 @@ def generate_instance(
                 provides = Formula((Clause((atom,)),))
             recommends = Formula(())
             if rng.random() < recommends_density:
-                recommends = _formula(rng, all_names, max_versions)
+                recommends = _formula(rng, target_names, max_versions)
             keep = None
             if installed and rng.random() < 0.15:
                 keep = rng.choice((Keep.VERSION, Keep.PACKAGE, Keep.NONE))

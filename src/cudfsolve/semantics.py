@@ -40,21 +40,15 @@ def bound_satisfiable(bound: VersionBound | None) -> bool:
     return True  # NEQ, GT, GE always have a witness
 
 
-def _mentioned_names(clause: Clause) -> list[str]:
-    """Names an upgrade clause could target at all, in clause order."""
-    names: list[str] = []
-    for atom in clause.atoms:
-        if bound_satisfiable(atom.bound) and atom.name not in names:
-            names.append(atom.name)
-    return names
-
-
 class DocIndex:
     """Precomputed lookup structures for one document.
 
     Built once and shared by the preprocessing, fact generation and
     validation paths; the public functions in this module accept plain
-    documents and build one on the fly.
+    documents and build one on the fly.  ``provides`` holds what each
+    package provides, itself included, with None for every version;
+    ``upgrades`` holds, per effective upgrade clause, the names it can
+    target and the highest version of each that is installed now.
     """
 
     def __init__(self, doc: CudfDocument) -> None:
@@ -65,44 +59,53 @@ class DocIndex:
         for desc in doc.packages:
             if self.umax.get(desc.name, 0) < desc.version:
                 self.umax[desc.name] = desc.version
-        # name -> exact provided versions / "all versions" flag, per package
-        self.exact: dict[PackageId, dict[str, frozenset[int]]] = {}
-        self.all_names: dict[PackageId, frozenset[str]] = {}
+        # package -> provided name -> provided versions, None for every version
+        self.provides: dict[PackageId, dict[str, frozenset[int] | None]] = {}
         # provided name -> packages touching it, in document order
         self.touching: dict[str, list[PackageId]] = {}
         for desc in doc.packages:
             # a package provides itself; an unversioned provide covers
             # every version, which swallows exact ones of the same name
-            provided: dict[str, set[int]] = {desc.name: {desc.version}}
-            open_names: set[str] = set()
+            provided: dict[str, set[int] | None] = {desc.name: {desc.version}}
             for clause in desc.provides.clauses:
                 atom = clause.atoms[0]
                 versions = provided.setdefault(atom.name, set())
                 if atom.bound is None:
-                    open_names.add(atom.name)
-                else:
+                    provided[atom.name] = None
+                elif versions is not None:
                     versions.add(atom.bound.value)
-            self.exact[desc.id] = {
-                n: frozenset() if n in open_names else frozenset(vs)
-                for n, vs in provided.items()
+            self.provides[desc.id] = {
+                n: None if vs is None else frozenset(vs) for n, vs in provided.items()
             }
-            self.all_names[desc.id] = frozenset(open_names)
             for name in provided:
                 self.touching.setdefault(name, []).append(desc.id)
         self.effective = effective_request(doc)
+        # per effective upgrade clause: each name it can target, in clause
+        # order, -> the highest version installed packages provide of it
+        # (inf for an unversioned provide, None when none provides it)
+        self.upgrades: list[tuple[Clause, dict[str, float | None]]] = []
+        for clause in self.effective.upgrade.clauses:
+            highest: dict[str, float | None] = {}
+            for atom in clause.atoms:
+                if bound_satisfiable(atom.bound) and atom.name not in highest:
+                    held = [
+                        self.provides[pid][atom.name]
+                        for pid in self.touching.get(atom.name, ())
+                        if pid in self.installed
+                    ]
+                    highest[atom.name] = max(
+                        (math.inf if vs is None else max(vs) for vs in held), default=None
+                    )
+            self.upgrades.append((clause, highest))
 
     def atom_matches(self, atom: Constraint, pid: PackageId) -> bool:
-        exact = self.exact[pid].get(atom.name)
-        if exact is None and atom.name not in self.all_names[pid]:
-            return False
-        if atom.bound is None:
-            return True
-        if atom.name in self.all_names[pid] and bound_satisfiable(atom.bound):
-            return True
+        versions = self.provides[pid].get(atom.name, ())
         bound = atom.bound
-        return exact is not None and any(
-            bound.op.holds(v, bound.value) for v in exact
-        )
+        if versions is None:  # every version
+            return bound_satisfiable(bound)
+        if bound is None:
+            return bool(versions)
+        return any(bound.op.holds(v, bound.value) for v in versions)
 
     def providers(
         self, clause: Clause, allowed: frozenset[PackageId] | None = None
@@ -118,17 +121,6 @@ class DocIndex:
                 if self.atom_matches(atom, pid):
                     seen.add(pid)
         return sorted(seen)
-
-    def provided_max(self, pids: Iterable[PackageId], name: str) -> float | None:
-        """Highest version of ``name`` provided by ``pids`` (inf for 'all')."""
-        best: float | None = None
-        for pid in pids:
-            if name in self.all_names[pid]:
-                return math.inf
-            for v in self.exact[pid].get(name, ()):
-                if best is None or v > best:
-                    best = v
-        return best
 
 
 @dataclass(frozen=True)
@@ -341,14 +333,13 @@ def validate_solution(
                     if other != pid:
                         violations.append(ConflictViolated(pid, other))
 
-    for clause in index.effective.upgrade.clauses:
-        mentioned = _mentioned_names(clause)
+    for clause, highest in index.upgrades:
         flagged: set[str] = set()
         pairs: set[tuple[str, int]] = set()
-        for name in mentioned:
-            omax = index.provided_max(index.installed, name)
+        for name, omax in highest.items():
             for pid in sorted(chosen.intersection(index.touching.get(name, ()))):
-                if name in index.all_names[pid]:
+                versions = index.provides[pid][name]
+                if versions is None:
                     flagged.add(name)
                     if omax is not None and omax > 1:
                         violations.append(
@@ -357,9 +348,8 @@ def validate_solution(
                             )
                         )
                     continue
-                versions = index.exact[pid].get(name, frozenset())
                 pairs.update((name, v) for v in versions)
-                if versions and omax is not None and min(versions) < omax:
+                if omax is not None and min(versions) < omax:
                     violations.append(
                         OutPackageInstalled(
                             pid, f"downgrades {name} relative to what is installed"

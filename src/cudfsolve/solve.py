@@ -282,18 +282,17 @@ def solve(
 def brute_force(
     doc: CudfDocument,
     criteria: CriteriaSeq,
-    scope: tuple[PackageId, ...] | None = None,
     *,
     _index: DocIndex | None = None,
 ) -> Solution | None:
-    """Try every subset of ``scope`` (default: the whole universe).
+    """Try every subset of the document's packages.
 
     Returns the best valid selection, preferring smaller then
     lexicographically smaller witnesses among ties, or None when no
-    subset is valid.  Refuses scopes past 20 packages.
+    subset is valid.  Refuses universes past 20 packages.
     """
     index = _index if _index is not None else DocIndex(doc)
-    pool = tuple(scope) if scope is not None else tuple(p.id for p in doc)
+    pool = tuple(p.id for p in doc)
     if len(pool) > 20:
         raise ScopeTooLarge(f"cannot enumerate 2**{len(pool)} selections")
     # necessary conditions as bitmasks over the pool, so that only the

@@ -10,7 +10,6 @@ from cudfsolve import (
     parse_criteria,
     parse_document,
 )
-from cudfsolve.semantics import _mentioned_names
 
 PARANOID = parse_criteria("paranoid")
 TRENDY = parse_criteria("trendy")
@@ -116,18 +115,18 @@ def test_full_scope_keeps_everything_but_out(scenario_doc):
 
 def test_each_upgrade_candidate_provides_one_accepted_version(upgrade_heavy_docs):
     # facts.generate reads an upgrade candidate's one pair straight off
-    # index.exact to find its rivals
+    # index.provides to find its rivals
     provided = 0
     for doc in upgrade_heavy_docs:
         index = DocIndex(doc)
         out = compute_out(doc, _index=index)
-        for clause in index.effective.upgrade.clauses:
-            mentioned = _mentioned_names(clause)
+        for clause, highest in index.upgrades:
             for desc in doc:
                 if desc.id in out:
                     continue
-                assert not index.all_names[desc.id].intersection(mentioned), desc.id
-                pairs = [(n, v) for n in mentioned for v in index.exact[desc.id].get(n, ())]
+                mine = index.provides[desc.id]
+                assert all(mine.get(n, ()) is not None for n in highest), desc.id
+                pairs = [(n, v) for n in highest for v in mine.get(n, ())]
                 assert len(pairs) <= 1, (desc.id, clause, pairs)
                 if pairs:
                     assert desc.id in index.providers(clause), (desc.id, clause)

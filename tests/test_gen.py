@@ -72,8 +72,8 @@ def test_request_knobs():
     assert len(doc.request.upgrade.clauses) == 2
     assert len(doc.request.remove.clauses) == 1
     # one name per clause, no repeats within a request
-    install_names = [c.atoms[0].name for c in doc.request.install.clauses]
-    assert len(set(install_names)) == 3
+    requested = [c.atoms[0].name for c in doc.request.install.clauses]
+    assert len(set(requested)) == 3
     # upgrades and removals target installed names, so they can be served
     installed_names = {p.name for p in doc.packages if p.installed}
     for clause in doc.request.upgrade.clauses + doc.request.remove.clauses:

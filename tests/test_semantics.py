@@ -14,6 +14,7 @@ from cudfsolve import (
     UnknownName,
     VersionBound,
     compute_sets,
+    effective_request,
     evaluate,
     generate_instance,
     make_document,
@@ -51,20 +52,18 @@ def index_of(*descs):
 
 def test_provide_includes_the_package_itself():
     index = index_of(desc("a", 2))
-    assert index.exact[pid("a", 2)] == {"a": frozenset({2})}
-    assert index.all_names[pid("a", 2)] == frozenset()
+    assert index.provides[pid("a", 2)] == {"a": frozenset({2})}
     assert index.touching == {"a": [pid("a", 2)]}
 
 
 def test_provide_with_pinned_and_open_features():
     feat = pid("feat", 1)
     index = index_of(desc("feat", 1, provides=parse_formula("conf = 3, lib")))
-    assert index.exact[feat] == {
+    assert index.provides[feat] == {
         "feat": frozenset({1}),
         "conf": frozenset({3}),
-        "lib": frozenset(),
+        "lib": None,
     }
-    assert index.all_names[feat] == {"lib"}
 
 
 def test_provide_set_matching():
@@ -81,13 +80,14 @@ def test_all_versions_swallows_exact_ones():
     index = index_of(
         desc("a", 1, provides=parse_formula("v = 2")),
         desc("b", 1, provides=parse_formula("v = 2, v")),
+        desc("c", 1, provides=parse_formula("v, v = 3")),
     )
-    assert index.exact[pid("b", 1)]["v"] == frozenset()
-    assert index.all_names[pid("b", 1)] == {"v"}
+    assert index.provides[pid("b", 1)]["v"] is None
+    assert index.provides[pid("c", 1)]["v"] is None
     five = Clause((Constraint("v", VersionBound(RelOp.EQ, 5)),))
-    assert index.providers(five) == [pid("b", 1)]
+    assert index.providers(five) == [pid("b", 1), pid("c", 1)]
     two = Clause((Constraint("v", VersionBound(RelOp.EQ, 2)),))
-    assert index.providers(two) == [pid("a", 1), pid("b", 1)]
+    assert index.providers(two) == [pid("a", 1), pid("b", 1), pid("c", 1)]
 
 
 def test_open_provides_cannot_meet_an_unsatisfiable_bound():
@@ -167,14 +167,57 @@ def test_index_umax(scenario_index):
     }
 
 
-def test_index_provided_max(scenario_index):
-    installed = scenario_index.installed
-    assert scenario_index.provided_max(installed, "conf") == 1
-    assert scenario_index.provided_max(installed, "inst") is None
-    # an open-ended provider counts as every version at once
-    doc = make_document([desc("a", 1, provides=parse_formula("v"))])
-    index = DocIndex(doc)
-    assert index.provided_max([pid("a", 1)], "v") == float("inf")
+def test_index_upgrades(scenario_index):
+    [(clause, highest)] = scenario_index.upgrades
+    assert str(clause) == "conf > 1"
+    assert highest == {"conf": 1}
+
+
+def test_index_upgrade_targets_and_installed_maxima():
+    doc = parse_document(
+        "package: a\nversion: 1\nprovides: v\ninstalled: true\n\n"
+        "package: b\nversion: 2\nprovides: w = 3, w = 1\ninstalled: true\n\n"
+        "package: c\nversion: 1\nprovides: w = 7\n\n"
+        "package: y\nversion: 4\n\n"
+        "request: \nupgrade: v | w | x < 1 | v >= 2 | y\n"
+    )
+    [(clause, highest)] = DocIndex(doc).upgrades
+    assert clause == doc.request.upgrade.clauses[0]
+    # an open provider counts as every version at once; a name nothing
+    # installed provides maps to None; x < 1 names nothing; v comes once
+    assert list(highest.items()) == [("v", float("inf")), ("w", 3), ("y", None)]
+
+
+def _scanned_upgrades(doc):
+    installed = [d for d in doc if d.installed]
+    scanned = []
+    for clause in effective_request(doc).upgrade.clauses:
+        highest = {}
+        for atom in clause.atoms:
+            if not bound_satisfiable(atom.bound) or atom.name in highest:
+                continue
+            tops = [d.version for d in installed if d.name == atom.name]
+            for d in installed:
+                for provide in d.provides.clauses:
+                    target = provide.atoms[0]
+                    if target.name == atom.name:
+                        tops.append(float("inf") if target.bound is None else target.bound.value)
+            highest[atom.name] = max(tops, default=None)
+        scanned.append((clause, highest))
+    return scanned
+
+
+def test_index_upgrades_match_a_plain_scan(upgrade_heavy_docs):
+    docs = [generate_instance(seed, packages=40, upgrade_requests=2) for seed in range(30)]
+    tops = []
+    for doc in docs + upgrade_heavy_docs:
+        upgrades = DocIndex(doc).upgrades
+        assert [(c, list(h.items())) for c, h in upgrades] == [
+            (c, list(h.items())) for c, h in _scanned_upgrades(doc)
+        ]
+        tops.extend(top for _, h in upgrades for top in h.values())
+    # measured 188 names: 14 reach an open provide, 35 nothing installed
+    assert len(tops) >= 150 and tops.count(float("inf")) >= 10 and tops.count(None) >= 25
 
 
 # ---------------------------------------------------------------- sets

@@ -323,6 +323,16 @@ def test_brute_force_refuses_large_scopes():
         brute_force(doc, PARANOID)
 
 
+@pytest.mark.parametrize("entry", [solve_document, brute_force], ids=lambda f: f.__name__)
+def test_library_entry_points_build_one_index(monkeypatch, scenario_doc, entry):
+    # a callee that builds its own index instead of taking the caller's
+    # is a silent slowdown, not an error
+    built = []
+    count_calls(monkeypatch, DocIndex, "__init__", built)
+    assert entry(scenario_doc, TRENDY) is not None
+    assert [args[1] for args in built] == [scenario_doc]
+
+
 def test_model_stats(scenario_doc):
     problem = build_problem(scenario_doc, PARANOID, full_scope(scenario_doc))
     stats = model_stats(problem)
