@@ -70,20 +70,23 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     common(p_validate, criteria_flags=False)
     p_validate.add_argument("solution", help="solution file (CUDF installed stanzas)")
 
-    p_gen = sub.add_parser("gen", help="generate a random instance")
+    # an omitted knob takes generate_instance's default
+    p_gen = sub.add_parser(
+        "gen", help="generate a random instance", argument_default=argparse.SUPPRESS
+    )
     probability = _number("a probability in [0, 1]", 1)
     p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
     p_gen.add_argument("-o", "--output", default=None)
-    p_gen.add_argument("--packages", type=_at_least(1), default=20, help="number of package stanzas")
-    p_gen.add_argument("--max-versions", type=_at_least(1), default=3)
-    p_gen.add_argument("--installed-fraction", type=probability, default=0.4)
-    p_gen.add_argument("--depends-density", type=probability, default=0.5)
-    p_gen.add_argument("--conflicts-density", type=probability, default=0.2)
-    p_gen.add_argument("--provides-density", type=probability, default=0.15)
-    p_gen.add_argument("--recommends-density", type=probability, default=0.2)
-    p_gen.add_argument("--install-requests", type=_at_least(0), default=2)
-    p_gen.add_argument("--upgrade-requests", type=_at_least(0), default=1)
-    p_gen.add_argument("--remove-requests", type=_at_least(0), default=0)
+    p_gen.add_argument("--packages", type=_at_least(1), help="number of package stanzas")
+    p_gen.add_argument("--max-versions", type=_at_least(1))
+    p_gen.add_argument("--installed-fraction", type=probability)
+    p_gen.add_argument("--depends-density", type=probability)
+    p_gen.add_argument("--conflicts-density", type=probability)
+    p_gen.add_argument("--provides-density", type=probability)
+    p_gen.add_argument("--recommends-density", type=probability)
+    p_gen.add_argument("--install-requests", type=_at_least(0))
+    p_gen.add_argument("--upgrade-requests", type=_at_least(0))
+    p_gen.add_argument("--remove-requests", type=_at_least(0))
     return parser
 
 
@@ -143,19 +146,8 @@ def run(args: argparse.Namespace) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     started = monotonic()  # --timeout covers reading and indexing too
     if args.command == "gen":
-        doc = generate_instance(
-            args.seed,
-            packages=args.packages,
-            max_versions=args.max_versions,
-            installed_fraction=args.installed_fraction,
-            depends_density=args.depends_density,
-            conflicts_density=args.conflicts_density,
-            provides_density=args.provides_density,
-            recommends_density=args.recommends_density,
-            install_requests=args.install_requests,
-            upgrade_requests=args.upgrade_requests,
-            remove_requests=args.remove_requests,
-        )
+        knobs = {k: v for k, v in vars(args).items() if k not in ("command", "seed", "output")}
+        doc = generate_instance(args.seed, **knobs)
         _write(args.output, render_document(doc))
         return 0
 

@@ -46,7 +46,7 @@ def compute_out(doc: CudfDocument, *, _index: DocIndex | None = None) -> frozens
     for clause, highest in index.upgrades:
         accepted = set(index.providers(clause))
         for pid in {pid for name in highest for pid in index.touching.get(name, ())}:
-            provided = {name: index.provides[pid].get(name, ()) for name in highest}
+            provided = {name: index.touching.get(name, {}).get(pid, ()) for name in highest}
             if None in provided.values():
                 out.add(pid)  # provides every version of an upgraded name
                 continue

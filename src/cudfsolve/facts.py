@@ -114,7 +114,7 @@ def generate(
             desc.id: (name, version)
             for desc in ordered
             for name in highest
-            for version in index.provides[desc.id].get(name) or ()
+            for version in index.touching.get(name, {}).get(desc.id) or ()
         }
         for pid, mine in pair.items():
             rivals = {q for q, theirs in pair.items() if theirs != mine}

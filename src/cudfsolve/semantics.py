@@ -17,7 +17,6 @@ from .criteria import CriteriaSeq, Criterion, Polarity
 from .errors import UnknownName
 from .model import (
     Clause,
-    Constraint,
     CudfDocument,
     PackageDesc,
     PackageId,
@@ -45,8 +44,9 @@ class DocIndex:
 
     Built once and shared by the preprocessing, fact generation and
     validation paths; the public functions in this module accept plain
-    documents and build one on the fly.  ``provides`` holds what each
-    package provides, itself included, with None for every version;
+    documents and build one on the fly.  ``touching`` holds, per
+    provided name, each package that provides it (itself included) and
+    the versions it provides, with None for every version;
     ``upgrades`` holds, per effective upgrade clause, the names it can
     target and the highest version of each that is installed now.
     """
@@ -59,10 +59,9 @@ class DocIndex:
         for desc in doc.packages:
             if self.umax.get(desc.name, 0) < desc.version:
                 self.umax[desc.name] = desc.version
-        # package -> provided name -> provided versions, None for every version
-        self.provides: dict[PackageId, dict[str, frozenset[int] | None]] = {}
-        # provided name -> packages touching it, in document order
-        self.touching: dict[str, list[PackageId]] = {}
+        # provided name -> each package providing it, in document order,
+        # -> its provided versions, sorted, or None for every version
+        self.touching: dict[str, dict[PackageId, tuple[int, ...] | None]] = {}
         for desc in doc.packages:
             # a package provides itself; an unversioned provide covers
             # every version, which swallows exact ones of the same name
@@ -74,11 +73,10 @@ class DocIndex:
                     provided[atom.name] = None
                 elif versions is not None:
                     versions.add(atom.bound.value)
-            self.provides[desc.id] = {
-                n: None if vs is None else frozenset(vs) for n, vs in provided.items()
-            }
-            for name in provided:
-                self.touching.setdefault(name, []).append(desc.id)
+            for name, versions in provided.items():
+                self.touching.setdefault(name, {})[desc.id] = (
+                    None if versions is None else tuple(sorted(versions))
+                )
         self.effective = effective_request(doc)
         # per effective upgrade clause: each name it can target, in clause
         # order, -> the highest version installed packages provide of it
@@ -89,23 +87,14 @@ class DocIndex:
             for atom in clause.atoms:
                 if bound_satisfiable(atom.bound) and atom.name not in highest:
                     held = [
-                        self.provides[pid][atom.name]
-                        for pid in self.touching.get(atom.name, ())
+                        versions
+                        for pid, versions in self.touching.get(atom.name, {}).items()
                         if pid in self.installed
                     ]
                     highest[atom.name] = max(
                         (math.inf if vs is None else max(vs) for vs in held), default=None
                     )
             self.upgrades.append((clause, highest))
-
-    def atom_matches(self, atom: Constraint, pid: PackageId) -> bool:
-        versions = self.provides[pid].get(atom.name, ())
-        bound = atom.bound
-        if versions is None:  # every version
-            return bound_satisfiable(bound)
-        if bound is None:
-            return bool(versions)
-        return any(bound.op.holds(v, bound.value) for v in versions)
 
     def providers(
         self, clause: Clause, allowed: frozenset[PackageId] | None = None
@@ -115,12 +104,21 @@ class DocIndex:
         The one matching query: preprocessing, facts and validation all ask it."""
         seen: set[PackageId] = set()
         for atom in clause.atoms:
-            for pid in self.touching.get(atom.name, ()):
+            for pid, versions in self.touching.get(atom.name, {}).items():
                 if pid in seen or (allowed is not None and pid not in allowed):
                     continue
-                if self.atom_matches(atom, pid):
+                if _meets(atom.bound, versions):
                     seen.add(pid)
         return sorted(seen)
+
+
+def _meets(bound: VersionBound | None, versions: tuple[int, ...] | None) -> bool:
+    """Whether a provide of ``versions`` (None: every version) meets ``bound``."""
+    if bound is None:
+        return True
+    if versions is None:
+        return bound_satisfiable(bound)
+    return any(bound.op.holds(v, bound.value) for v in versions)
 
 
 @dataclass(frozen=True)
@@ -337,8 +335,9 @@ def validate_solution(
         flagged: set[str] = set()
         pairs: set[tuple[str, int]] = set()
         for name, omax in highest.items():
-            for pid in sorted(chosen.intersection(index.touching.get(name, ()))):
-                versions = index.provides[pid][name]
+            provided = index.touching.get(name, {})
+            for pid in sorted(chosen.intersection(provided)):
+                versions = provided[pid]
                 if versions is None:
                     flagged.add(name)
                     if omax is not None and omax > 1:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cudfsolve import DocIndex, PackageId, parse_document
+from cudfsolve import DocIndex, PackageId, generate_instance, parse_document, render_document
 from cudfsolve import cli
 from cudfsolve.cli import main
 
@@ -206,6 +206,13 @@ def test_gen_is_byte_deterministic(capsys):
     first = run_cli(capsys, "gen", "--seed", "9")
     second = run_cli(capsys, "gen", "--seed", "9")
     assert first == second
+
+
+def test_gen_takes_the_generator_defaults(capsys):
+    _, out, _ = run_cli(capsys, "gen", "--seed", "5")
+    assert out == render_document(generate_instance(5))
+    _, out, _ = run_cli(capsys, "gen", "--seed", "5", "--packages", "15", "--remove-requests", "2")
+    assert out == render_document(generate_instance(5, packages=15, remove_requests=2))
 
 
 def test_parse_errors_exit_2(capsys, tmp_path):

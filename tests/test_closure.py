@@ -115,7 +115,7 @@ def test_full_scope_keeps_everything_but_out(scenario_doc):
 
 def test_each_upgrade_candidate_provides_one_accepted_version(upgrade_heavy_docs):
     # facts.generate reads an upgrade candidate's one pair straight off
-    # index.provides to find its rivals
+    # index.touching to find its rivals
     provided = 0
     for doc in upgrade_heavy_docs:
         index = DocIndex(doc)
@@ -124,9 +124,9 @@ def test_each_upgrade_candidate_provides_one_accepted_version(upgrade_heavy_docs
             for desc in doc:
                 if desc.id in out:
                     continue
-                mine = index.provides[desc.id]
-                assert all(mine.get(n, ()) is not None for n in highest), desc.id
-                pairs = [(n, v) for n in highest for v in mine.get(n, ())]
+                mine = {n: index.touching.get(n, {}).get(desc.id, ()) for n in highest}
+                assert None not in mine.values(), desc.id
+                pairs = [(n, v) for n, versions in mine.items() for v in versions]
                 assert len(pairs) <= 1, (desc.id, clause, pairs)
                 if pairs:
                     assert desc.id in index.providers(clause), (desc.id, clause)

@@ -189,6 +189,44 @@ def test_clause_added_after_a_model_is_honoured():
     assert s.solve() is Result.UNSAT
 
 
+def test_tighten_keeps_the_trail_that_honours_the_bound():
+    s = Solver()
+    xs = [s.new_var(phase=True) for _ in range(5)]
+    bound = s.add_atmost(xs, [1] * 5, 5)
+    assert s.solve() is Result.SAT
+    assert s.trail == xs  # one decision per level, every literal true
+    kept = list(s.trail_lim)
+    s.tighten(bound, 5)
+    assert s.trail_lim == kept
+    decisions = s.decisions
+    assert s.solve() is Result.SAT
+    assert s.decisions == decisions  # the search resumed from the kept trail
+    # the running weight first passes 2 at level 3, so back to level 2,
+    # where the rest no longer fit and are enqueued false
+    s.tighten(bound, 2)
+    assert s.trail_lim == kept[:2]
+    assert s.trail == xs[:2] + [-x for x in xs[2:]]
+    assert s.solve() is Result.SAT
+    assert s.decisions == decisions
+    assert s.model()[1:] == [True, True, False, False, False]
+
+
+def test_tighten_backtracks_to_just_below_the_breaking_level():
+    s = Solver()
+    guard = s.new_var()
+    xs = [s.new_var(phase=True) for _ in range(5)]
+    bound = s.add_atmost(xs + [-guard], [1, 1, 1, 3, 1, 1], 8)
+    assert s.solve(assumptions=[-guard]) is Result.SAT
+    assert s.trail == [-guard] + xs  # the assumption at level 1, then one per level
+    kept = list(s.trail_lim)
+    # the guard weighs 1 and x1..x3 bring it to 4; x4 at level 5 passes 5
+    s.tighten(bound, 5)
+    assert s.trail_lim == kept[:4]
+    assert s.trail == [-guard] + xs[:3] + [-xs[3]]  # only x4 no longer fits
+    assert s.solve(assumptions=[-guard]) is Result.SAT
+    assert s.model()[2:] == [True, True, True, False, True]
+
+
 def test_expired_deadline_is_noticed_up_front():
     s = fresh(2)
     s.add_clause([1, 2])

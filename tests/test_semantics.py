@@ -23,6 +23,7 @@ from cudfsolve import (
     parse_formula,
     validate_solution,
 )
+from cudfsolve import semantics
 from cudfsolve.semantics import (
     ConflictViolated,
     OutPackageInstalled,
@@ -52,28 +53,30 @@ def index_of(*descs):
 
 def test_provide_includes_the_package_itself():
     index = index_of(desc("a", 2))
-    assert index.provides[pid("a", 2)] == {"a": frozenset({2})}
-    assert index.touching == {"a": [pid("a", 2)]}
+    assert index.touching == {"a": {pid("a", 2): (2,)}}
 
 
 def test_provide_with_pinned_and_open_features():
     feat = pid("feat", 1)
-    index = index_of(desc("feat", 1, provides=parse_formula("conf = 3, lib")))
-    assert index.provides[feat] == {
-        "feat": frozenset({1}),
-        "conf": frozenset({3}),
-        "lib": None,
+    index = index_of(desc("feat", 1, provides=parse_formula("conf = 3, conf = 1, lib")))
+    assert index.touching == {
+        "feat": {feat: (1,)},
+        "conf": {feat: (1, 3)},
+        "lib": {feat: None},
     }
 
 
+def _serves(index, atom):
+    return index.providers(Clause((atom,))) != []
+
+
 def test_provide_set_matching():
-    feat = pid("feat", 1)
     index = index_of(desc("feat", 1, provides=parse_formula("conf = 3, lib")))
-    assert index.atom_matches(Constraint("conf"), feat)
-    assert index.atom_matches(Constraint("conf", VersionBound(RelOp.GE, 3)), feat)
-    assert not index.atom_matches(Constraint("conf", VersionBound(RelOp.LT, 3)), feat)
-    assert index.atom_matches(Constraint("lib", VersionBound(RelOp.GT, 99)), feat)
-    assert not index.atom_matches(Constraint("nothere"), feat)
+    assert _serves(index, Constraint("conf"))
+    assert _serves(index, Constraint("conf", VersionBound(RelOp.GE, 3)))
+    assert not _serves(index, Constraint("conf", VersionBound(RelOp.LT, 3)))
+    assert _serves(index, Constraint("lib", VersionBound(RelOp.GT, 99)))
+    assert not _serves(index, Constraint("nothere"))
 
 
 def test_all_versions_swallows_exact_ones():
@@ -82,8 +85,7 @@ def test_all_versions_swallows_exact_ones():
         desc("b", 1, provides=parse_formula("v = 2, v")),
         desc("c", 1, provides=parse_formula("v, v = 3")),
     )
-    assert index.provides[pid("b", 1)]["v"] is None
-    assert index.provides[pid("c", 1)]["v"] is None
+    assert index.touching["v"] == {pid("a", 1): (2,), pid("b", 1): None, pid("c", 1): None}
     five = Clause((Constraint("v", VersionBound(RelOp.EQ, 5)),))
     assert index.providers(five) == [pid("b", 1), pid("c", 1)]
     two = Clause((Constraint("v", VersionBound(RelOp.EQ, 2)),))
@@ -93,7 +95,6 @@ def test_all_versions_swallows_exact_ones():
 def test_open_provides_cannot_meet_an_unsatisfiable_bound():
     index = index_of(desc("a", 1, provides=parse_formula("v")))
     never = Constraint("v", VersionBound(RelOp.LT, 1))
-    assert not index.atom_matches(never, pid("a", 1))
     assert index.providers(Clause((never,))) == []
 
 
@@ -123,12 +124,31 @@ def test_index_providers_are_sorted_and_deduplicated(scenario_index):
     assert scenario_index.providers(clause, allowed) == [pid("conf", 2)]
 
 
-def _scanned_providers(index, clause, allowed):
-    return [p for p in sorted(allowed) if any(index.atom_matches(a, p) for a in clause.atoms)]
+def _stanza_serves(d, atom):
+    """Whether stanza ``d`` serves ``atom``, read off its own fields."""
+    bound = atom.bound
+    if d.name == atom.name and (bound is None or bound.op.holds(d.version, bound.value)):
+        return True
+    for provide in d.provides.clauses:
+        target = provide.atoms[0]
+        if target.name != atom.name:
+            continue
+        if target.bound is None:  # every version
+            if bound_satisfiable(bound):
+                return True
+        elif bound is None or bound.op.holds(target.bound.value, bound.value):
+            return True
+    return False
+
+
+def _scanned_providers(doc, clause, allowed):
+    return sorted(
+        d.id for d in doc if d.id in allowed and any(_stanza_serves(d, a) for a in clause.atoms)
+    )
 
 
 def test_index_providers_match_a_plain_scan(upgrade_heavy_docs):
-    # the touching map must find exactly what a scan of the whole set finds
+    # the touching table must find exactly what a scan of the stanzas finds
     rng = random.Random(7)
     docs = [
         generate_instance(seed, packages=40, upgrade_requests=2, remove_requests=1)
@@ -149,10 +169,24 @@ def test_index_providers_match_a_plain_scan(upgrade_heavy_docs):
             for formula in (d.depends, d.conflicts, d.recommends):
                 clauses.extend(formula.clauses)
         for clause in clauses:
-            assert index.providers(clause) == _scanned_providers(index, clause, universe)
-            assert index.providers(clause, subset) == _scanned_providers(index, clause, subset)
+            assert index.providers(clause) == _scanned_providers(doc, clause, universe)
+            assert index.providers(clause, subset) == _scanned_providers(doc, clause, subset)
             checked += 1
     assert checked > 1000
+
+
+def test_touching_lists_providers_in_document_order(upgrade_heavy_docs):
+    index = index_of(
+        desc("b", 2),
+        desc("a", 1, provides=parse_formula("b = 5")),
+        desc("b", 1),
+        desc("c", 1, provides=parse_formula("b")),
+    )
+    assert list(index.touching["b"]) == [pid("b", 2), pid("a", 1), pid("b", 1), pid("c", 1)]
+    for doc in upgrade_heavy_docs:
+        index = DocIndex(doc)
+        for name, provided in index.touching.items():
+            assert list(provided) == [d.id for d in doc if _stanza_serves(d, Constraint(name))]
 
 
 def test_index_umax(scenario_index):
@@ -432,13 +466,13 @@ def test_validation_is_linear_in_the_selection(monkeypatch):
     doc = generate_instance(0, packages=400, installed_fraction=1.0, conflicts_density=0.3)
     chosen = doc.installed_ids()
     calls = 0
-    atom_matches = DocIndex.atom_matches
+    meets = semantics._meets
 
-    def counted(self, atom, pid):
+    def counted(bound, versions):
         nonlocal calls
         calls += 1
-        return atom_matches(self, atom, pid)
+        return meets(bound, versions)
 
-    monkeypatch.setattr(DocIndex, "atom_matches", counted)
+    monkeypatch.setattr(semantics, "_meets", counted)
     validate_solution(doc, chosen)
     assert calls < 10 * len(chosen), (calls, len(chosen))
