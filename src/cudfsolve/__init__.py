@@ -53,9 +53,7 @@ from .parser import (
 )
 from .semantics import (
     DocIndex,
-    ObjectiveValue,
     ObjectiveVector,
-    OptimizationSets,
     ValidationReport,
     compute_sets,
     evaluate,
@@ -92,9 +90,7 @@ __all__ = [
     "InvalidProvide",
     "InvalidVersion",
     "Keep",
-    "ObjectiveValue",
     "ObjectiveVector",
-    "OptimizationSets",
     "PARANOID",
     "PackageDesc",
     "PackageId",

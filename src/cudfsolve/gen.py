@@ -25,6 +25,7 @@ from .model import (
 )
 
 _BOUND_OPS = (RelOp.EQ, RelOp.GE, RelOp.LE, RelOp.GT, RelOp.LT, RelOp.NEQ)
+_MAX_CLAUSES = 2  # per generated depends, conflicts or recommends formula
 
 
 def _atom(rng: random.Random, names: list[str], max_versions: int) -> Constraint:
@@ -40,11 +41,10 @@ def _formula(
     names: list[str],
     max_versions: int,
     *,
-    max_clauses: int = 2,
     max_atoms: int = 2,
 ) -> Formula:
     clauses = []
-    for _ in range(rng.randint(1, max_clauses)):
+    for _ in range(rng.randint(1, _MAX_CLAUSES)):
         atoms = tuple(
             _atom(rng, names, max_versions) for _ in range(rng.randint(1, max_atoms))
         )
@@ -177,12 +177,11 @@ def generate_instance(
             )
 
     installed_names = [name for name, _ in version_sets if name in installed_by]
-    upgrade_pool = installed_names if installed_names else real_names
-    remove_pool = installed_names if installed_names else real_names
+    pool = installed_names or real_names  # for the upgrade and remove requests
     request = Request(
         install=_single_atoms(rng, real_names, virtual_names, max_versions, install_requests),
-        remove=_bare_atoms(rng, remove_pool, remove_requests),
-        upgrade=_bare_atoms(rng, upgrade_pool, upgrade_requests),
+        remove=_bare_atoms(rng, pool, remove_requests),
+        upgrade=_bare_atoms(rng, pool, upgrade_requests),
     )
     return make_document(descs, request)
 

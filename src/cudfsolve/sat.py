@@ -197,14 +197,9 @@ class Solver:
     # ------------------------------------------------------------------
     # trail
 
-    def _enqueue(self, lit: int, reason: object) -> bool:
+    def _enqueue(self, lit: int, reason: object) -> None:
+        """Make ``lit`` true at the current level; it must be unassigned."""
         lval = self.lval
-        if lval[lit]:
-            if lval[lit] == 1:
-                return True
-            if not self.trail_lim:
-                self.ok = False
-            return False
         v = lit if lit > 0 else -lit
         lval[lit] = 1
         lval[-lit] = -1
@@ -217,7 +212,6 @@ class Solver:
         # symmetric even for literals that never reach the queue head
         for constraint, weight in self.card_occur[lit]:
             constraint.true_weight += weight
-        return True
 
     def _backtrack(self, target: int) -> None:
         if len(self.trail_lim) <= target:
@@ -445,8 +439,6 @@ class Solver:
                 learnt, backjump = self._analyze(conflict)
                 self._backtrack(backjump)
                 self._learn(learnt)
-                if not self.ok:
-                    return Result.UNSAT
                 self.var_inc *= _DECAY
                 if give_up is not None and self.conflicts >= give_up:
                     return Result.UNKNOWN
@@ -464,7 +456,8 @@ class Solver:
                 if lval[lit] == -1:
                     return Result.UNSAT  # the assumptions contradict the formula
                 trail_lim.append(len(trail))  # an empty level when already true
-                self._enqueue(lit, None)
+                if lval[lit] == 0:
+                    self._enqueue(lit, None)
                 continue
             variable = self._pick_var()
             if variable is None:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .criteria import CriteriaSeq, Criterion, Polarity
+from .criteria import CriteriaSeq, Criterion, Polarity, SignedCriterion
 from .errors import UnknownName
 from .model import (
     Clause,
@@ -32,9 +32,7 @@ def bound_satisfiable(bound: VersionBound | None) -> bool:
         return True
     if bound.op is RelOp.LT:
         return bound.value >= 2
-    if bound.op is RelOp.LE:
-        return bound.value >= 1
-    if bound.op is RelOp.EQ:
+    if bound.op in (RelOp.LE, RelOp.EQ):
         return bound.value >= 1
     return True  # NEQ, GT, GE always have a witness
 
@@ -121,19 +119,13 @@ def _meets(bound: VersionBound | None, versions: tuple[int, ...] | None) -> bool
     return any(bound.op.holds(v, bound.value) for v in versions)
 
 
-@dataclass(frozen=True)
-class OptimizationSets:
-    """The name/clause sets the criteria count.
-
-    ``unsat_recommends`` holds (name, version, clause index) triples,
-    indices starting at 1 in source order.
-    """
-
-    new: frozenset[str]
-    removed: frozenset[str]
-    changed: frozenset[str]
-    not_up_to_date: frozenset[str]
-    unsat_recommends: frozenset[tuple[str, int, int]]
+def _selection(index: DocIndex, installed: Iterable[PackageId]) -> frozenset[PackageId]:
+    """``installed`` as a set; each of its packages must be in the document."""
+    chosen = frozenset(installed)
+    unknown = chosen.difference(index.by_id)
+    if unknown:  # name the least, whatever the hash seed
+        raise UnknownName(f"{min(unknown)} is not in the document")
+    return chosen
 
 
 def compute_sets(
@@ -141,13 +133,16 @@ def compute_sets(
     installed: Iterable[PackageId],
     *,
     _index: DocIndex | None = None,
-) -> OptimizationSets:
-    """Measure the follow-up installation against the current one."""
+) -> dict[Criterion, frozenset]:
+    """Measure the follow-up installation against the current one.
+
+    One set per criterion, whose size is that criterion's count: names,
+    except for ``UNSAT_RECOMMENDS``, which holds the (name, version,
+    clause index) triples of unserved recommends, indices starting at 1
+    in source order.
+    """
     index = _index if _index is not None else DocIndex(doc)
-    chosen = frozenset(installed)
-    for pid in chosen:
-        if pid not in index.by_id:
-            raise UnknownName(f"{pid} is not in the document")
+    chosen = _selection(index, installed)
 
     p_versions: dict[str, set[int]] = {}
     for pid in chosen:
@@ -156,50 +151,38 @@ def compute_sets(
     for pid in index.installed:
         o_versions.setdefault(pid.name, set()).add(pid.version)
 
-    new = frozenset(n for n in p_versions if n not in o_versions)
-    removed = frozenset(n for n in o_versions if n not in p_versions)
-    changed = frozenset(
-        n
-        for n in set(p_versions) | set(o_versions)
-        if p_versions.get(n, set()) != o_versions.get(n, set())
-    )
-    not_up_to_date = frozenset(
-        n for n, versions in p_versions.items() if index.umax[n] not in versions
-    )
-
-    unsat: set[tuple[str, int, int]] = set()
-    for pid in chosen:
-        for i, clause in enumerate(index.by_id[pid].recommends.clauses, 1):
-            if not index.providers(clause, chosen):
-                unsat.add((pid.name, pid.version, i))
-
-    return OptimizationSets(new, removed, changed, not_up_to_date, frozenset(unsat))
-
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    criterion: Criterion
-    polarity: Polarity
-    count: int
-
-    def __str__(self) -> str:
-        return f"{self.polarity.value}{self.criterion.value}={self.count}"
+    return {
+        Criterion.NEW: frozenset(n for n in p_versions if n not in o_versions),
+        Criterion.REMOVED: frozenset(n for n in o_versions if n not in p_versions),
+        Criterion.CHANGED: frozenset(
+            n
+            for n in set(p_versions) | set(o_versions)
+            if p_versions.get(n, set()) != o_versions.get(n, set())
+        ),
+        Criterion.NOT_UP_TO_DATE: frozenset(
+            n for n, versions in p_versions.items() if index.umax[n] not in versions
+        ),
+        Criterion.UNSAT_RECOMMENDS: frozenset(
+            (pid.name, pid.version, i)
+            for pid in chosen
+            for i, clause in enumerate(index.by_id[pid].recommends.clauses, 1)
+            if not index.providers(clause, chosen)
+        ),
+    }
 
 
 @dataclass(frozen=True)
 class ObjectiveVector:
-    """Criterion counts, most significant first."""
+    """(signed criterion, count) pairs, most significant first."""
 
-    values: tuple[ObjectiveValue, ...]
+    values: tuple[tuple[SignedCriterion, int], ...]
 
     def key(self) -> tuple[int, ...]:
         """Comparison key: lexicographically smaller is better."""
-        return tuple(
-            v.count if v.polarity is Polarity.MINUS else -v.count for v in self.values
-        )
+        return tuple(n if sc.polarity is Polarity.MINUS else -n for sc, n in self.values)
 
     def __str__(self) -> str:
-        return " ".join(str(v) for v in self.values) if self.values else "(no criteria)"
+        return " ".join(f"{sc}={n}" for sc, n in self.values) if self.values else "(no criteria)"
 
 
 def evaluate(
@@ -211,18 +194,8 @@ def evaluate(
 ) -> ObjectiveVector:
     """The objective vector of an installation under ``criteria``."""
     sets = compute_sets(doc, installed, _index=_index)
-    counts = {
-        Criterion.NEW: len(sets.new),
-        Criterion.REMOVED: len(sets.removed),
-        Criterion.CHANGED: len(sets.changed),
-        Criterion.NOT_UP_TO_DATE: len(sets.not_up_to_date),
-        Criterion.UNSAT_RECOMMENDS: len(sets.unsat_recommends),
-    }
     return ObjectiveVector(
-        tuple(
-            ObjectiveValue(sc.criterion, sc.polarity, counts[sc.criterion])
-            for sc in criteria.significance_first()
-        )
+        tuple((sc, len(sets[sc.criterion])) for sc in criteria.significance_first())
     )
 
 
@@ -299,10 +272,7 @@ def validate_solution(
     one available version at most per upgraded name.
     """
     index = _index if _index is not None else DocIndex(doc)
-    chosen = frozenset(installed)
-    for pid in chosen:
-        if pid not in index.by_id:
-            raise UnknownName(f"{pid} is not in the document")
+    chosen = _selection(index, installed)
     ordered = sorted(chosen)
     violations: list[Violation] = []
 
@@ -340,15 +310,10 @@ def validate_solution(
                 versions = provided[pid]
                 if versions is None:
                     flagged.add(name)
-                    if omax is not None and omax > 1:
-                        violations.append(
-                            OutPackageInstalled(
-                                pid, f"downgrades {name} relative to what is installed"
-                            )
-                        )
-                    continue
-                pairs.update((name, v) for v in versions)
-                if omax is not None and min(versions) < omax:
+                else:
+                    pairs.update((name, v) for v in versions)
+                # an unversioned provide counts as providing version 1
+                if omax is not None and (1 if versions is None else versions[0]) < omax:
                     violations.append(
                         OutPackageInstalled(
                             pid, f"downgrades {name} relative to what is installed"

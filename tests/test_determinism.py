@@ -6,6 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import _upgrade_heavy
+
+from cudfsolve import render_document
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,3 +70,46 @@ def test_subcommands_are_the_same_under_any_hash_seed(instance, answer, argv):
     first, second = (cudfsolve(argv[0], instance, *argv[1:], hash_seed=seed) for seed in (0, 1))
     assert first == second
     assert first[1]
+
+
+@pytest.fixture(scope="module")
+def upgrade_heavy(tmp_path_factory):
+    # gen never aims an upgrade clause at a provided name; this document
+    # upgrades p8 and virt2 | p4 = 3, and its starting state downgrades
+    # both upgraded names and makes several versions of each available
+    path = tmp_path_factory.mktemp("det") / "upgrade.cudf"
+    path.write_text(render_document(_upgrade_heavy(37)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["facts", "-c", "trendy"],
+        ["facts", "-c", "trendy", "--no-closure"],
+        ["closure", "-c", "trendy"],
+        ["validate", "start"],
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_upgrade_rules_are_the_same_under_any_hash_seed(upgrade_heavy, argv):
+    argv = [upgrade_heavy if arg == "start" else arg for arg in argv]
+    first, second = (
+        cudfsolve(argv[0], upgrade_heavy, *argv[1:], hash_seed=seed) for seed in (0, 1)
+    )
+    assert first == second
+    assert first[1]
+    if argv[0] == "validate":
+        assert "downgrades virt2" in first[1] and "several versions of virt2" in first[1]
+
+
+def test_validate_names_the_same_unknown_package_under_any_hash_seed(tmp_path):
+    start = tmp_path / "start.cudf"
+    start.write_text("package: a\nversion: 1\ninstalled: true\n\nrequest: \n")
+    answer = tmp_path / "answer.cudf"
+    answer.write_text(
+        "".join(f"package: {n}\nversion: 1\ninstalled: true\n\n" for n in "zyxwv")
+    )
+    for seed in (0, 1, 2):
+        code, stdout, _ = cudfsolve("validate", str(start), str(answer), hash_seed=seed)
+        assert (code, stdout) == (1, "unknown package in solution: v=1 is not in the document\n")

@@ -260,18 +260,18 @@ def test_index_upgrades_match_a_plain_scan(upgrade_heavy_docs):
 def test_compute_sets_on_the_scenario(scenario_doc):
     chosen = [pid("inst", 1), pid("dep", 1), pid("conf", 2), pid("avail", 1)]
     sets = compute_sets(scenario_doc, chosen)
-    assert sets.new == {"inst"}
-    assert sets.removed == set()
-    assert sets.changed == {"inst", "conf"}
-    assert sets.not_up_to_date == {"inst", "dep"}
-    assert sets.unsat_recommends == set()
+    assert sets[Criterion.NEW] == {"inst"}
+    assert sets[Criterion.REMOVED] == set()
+    assert sets[Criterion.CHANGED] == {"inst", "conf"}
+    assert sets[Criterion.NOT_UP_TO_DATE] == {"inst", "dep"}
+    assert sets[Criterion.UNSAT_RECOMMENDS] == set()
 
 
 def test_removing_everything():
     doc = parse_document("package: a\nversion: 1\ninstalled: true\n\nrequest: \n")
     sets = compute_sets(doc, [])
-    assert sets.removed == {"a"} and sets.changed == {"a"}
-    assert sets.new == set() == sets.not_up_to_date
+    assert sets[Criterion.REMOVED] == {"a"} and sets[Criterion.CHANGED] == {"a"}
+    assert sets[Criterion.NEW] == set() == sets[Criterion.NOT_UP_TO_DATE]
 
 
 def test_two_versions_of_one_name_differ_from_one():
@@ -281,16 +281,16 @@ def test_two_versions_of_one_name_differ_from_one():
     )
     doc = parse_document(text)
     sets = compute_sets(doc, [pid("a", 1), pid("a", 2)])
-    assert sets.changed == {"a"}  # {1} became {1, 2}
-    assert sets.not_up_to_date == set()
+    assert sets[Criterion.CHANGED] == {"a"}  # {1} became {1, 2}
+    assert sets[Criterion.NOT_UP_TO_DATE] == set()
 
 
 def test_unsat_recommends_counts_clauses(scenario_doc):
     chosen = [pid("dep", 3), pid("avail", 1)]
     sets = compute_sets(scenario_doc, chosen)
-    assert sets.unsat_recommends == {("dep", 3, 1)}
+    assert sets[Criterion.UNSAT_RECOMMENDS] == {("dep", 3, 1)}
     satisfied = chosen + [pid("recomm", 1)]
-    assert compute_sets(scenario_doc, satisfied).unsat_recommends == set()
+    assert compute_sets(scenario_doc, satisfied)[Criterion.UNSAT_RECOMMENDS] == set()
 
 
 def test_recommends_satisfied_through_provides():
@@ -300,8 +300,8 @@ def test_recommends_satisfied_through_provides():
         "request: \n"
     )
     doc = parse_document(text)
-    assert compute_sets(doc, [pid("a", 1), pid("b", 1)]).unsat_recommends == set()
-    assert compute_sets(doc, [pid("a", 1)]).unsat_recommends == {("a", 1, 1)}
+    assert compute_sets(doc, [pid("a", 1), pid("b", 1)])[Criterion.UNSAT_RECOMMENDS] == set()
+    assert compute_sets(doc, [pid("a", 1)])[Criterion.UNSAT_RECOMMENDS] == {("a", 1, 1)}
 
 
 def test_compute_sets_rejects_foreign_packages(scenario_doc):
@@ -312,11 +312,11 @@ def test_compute_sets_rejects_foreign_packages(scenario_doc):
 def test_evaluate_orders_by_significance(scenario_doc):
     chosen = [pid("inst", 1), pid("dep", 1), pid("conf", 2), pid("avail", 1)]
     vector = evaluate(scenario_doc, chosen, PARANOID)
-    assert [v.criterion for v in vector.values] == [
+    assert [sc.criterion for sc, _ in vector.values] == [
         Criterion.REMOVED,
         Criterion.CHANGED,
     ]
-    assert [v.count for v in vector.values] == [0, 2]
+    assert [n for _, n in vector.values] == [0, 2]
     assert vector.key() == (0, 2)
     assert str(vector) == "-removed=0 -changed=2"
 
@@ -410,6 +410,49 @@ def test_upgrade_forbids_downgrades():
     downs = [v for v in report.violations if isinstance(v, OutPackageInstalled)]
     assert downs and "downgrades" in downs[0].reason
     assert validate_solution(doc, [pid("a", 2)]).ok
+
+
+def _down(name, version, what):
+    reason = f"downgrades {what} relative to what is installed"
+    return OutPackageInstalled(pid(name, version), reason)
+
+
+@pytest.mark.parametrize(
+    "text, chosen, expected",
+    [
+        # an unversioned provide counts as version 1: no downgrade of a 1
+        (
+            "package: a\nversion: 1\ninstalled: true\n\n"
+            "package: p\nversion: 1\nprovides: a\n\nrequest: \nupgrade: a\n",
+            [pid("p", 1)],
+            (UpgradeMultiVersion("a"),),
+        ),
+        # ... but a downgrade of a 2
+        (
+            "package: a\nversion: 2\ninstalled: true\n\n"
+            "package: p\nversion: 1\nprovides: a\n\nrequest: \nupgrade: a\n",
+            [pid("p", 1)],
+            (_down("p", 1, "a"), UpgradeMultiVersion("a")),
+        ),
+        # two exact versions of one upgraded name, one below the installed 2
+        (
+            "package: a\nversion: 1\n\npackage: a\nversion: 2\ninstalled: true\n\n"
+            "package: a\nversion: 3\n\nrequest: \nupgrade: a\n",
+            [pid("a", 3), pid("a", 1)],
+            (_down("a", 1, "a"), UpgradeMultiVersion("a")),
+        ),
+        # one package of each name of a disjunction: the smaller name is flagged
+        (
+            "package: a\nversion: 1\n\npackage: b\nversion: 1\n\n"
+            "request: \nupgrade: b | a\n",
+            [pid("b", 1), pid("a", 1)],
+            (UpgradeMultiVersion("a"),),
+        ),
+    ],
+    ids=["open-provide-over-1", "open-provide-over-2", "two-versions", "disjunction"],
+)
+def test_upgrade_rules_report_exactly(text, chosen, expected):
+    assert validate_solution(parse_document(text), chosen).violations == expected
 
 
 def test_upgrade_clause_must_be_served(scenario_doc):
