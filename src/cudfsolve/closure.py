@@ -92,21 +92,21 @@ def compute_closure(
     def seed(condition) -> None:
         closure.update(pid for pid in allowed if condition(pid))
 
-    if criteria.has(Criterion.NEW, Polarity.PLUS):
+    if criteria.polarity_of(Criterion.NEW) is Polarity.PLUS:
         seed(lambda pid: pid.name not in o_names)
-    if criteria.has(Criterion.REMOVED, Polarity.MINUS):
+    if criteria.polarity_of(Criterion.REMOVED) is Polarity.MINUS:
         seed(lambda pid: pid.name in o_names)
-    if criteria.has(Criterion.CHANGED, Polarity.PLUS):
+    if criteria.polarity_of(Criterion.CHANGED) is Polarity.PLUS:
         seed(lambda pid: pid not in index.installed)
-    if criteria.has(Criterion.CHANGED, Polarity.MINUS):
+    if criteria.polarity_of(Criterion.CHANGED) is Polarity.MINUS:
         seed(lambda pid: pid in index.installed)
-    if criteria.has(Criterion.NOT_UP_TO_DATE, Polarity.PLUS):
+    if criteria.polarity_of(Criterion.NOT_UP_TO_DATE) is Polarity.PLUS:
         seed(lambda pid: pid.version < index.umax[pid.name])
-    if criteria.has(Criterion.UNSAT_RECOMMENDS, Polarity.PLUS):
+    if criteria.polarity_of(Criterion.UNSAT_RECOMMENDS) is Polarity.PLUS:
         seed(lambda pid: bool(index.by_id[pid].recommends.clauses))
 
-    follow_recommends = criteria.has(Criterion.UNSAT_RECOMMENDS, Polarity.MINUS)
-    follow_newest = criteria.has(Criterion.NOT_UP_TO_DATE, Polarity.MINUS)
+    follow_recommends = criteria.polarity_of(Criterion.UNSAT_RECOMMENDS) is Polarity.MINUS
+    follow_newest = criteria.polarity_of(Criterion.NOT_UP_TO_DATE) is Polarity.MINUS
 
     iterations = 0
     frontier = set(closure)

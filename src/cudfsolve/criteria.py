@@ -2,9 +2,9 @@
 
 A criteria sequence ranks counting measures over the outcome of an
 upgrade: how many names were removed, changed, left behind their newest
-version, and so on.  Sequences are stored least-significant first, the
-order in which positions are numbered in the emitted facts; the solver
-and the objective vector work most-significant first.
+version, and so on.  Sequences are stored most significant first, as
+they are written; only the emitted ``criterion`` facts number positions,
+counting up from the least significant.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class SignedCriterion:
 
 @dataclass(frozen=True)
 class CriteriaSeq:
-    """An ordered criteria sequence, least significant first.
+    """An ordered criteria sequence, most significant first.
 
     The same criterion may appear at most once regardless of sign.
     """
@@ -77,17 +77,6 @@ class CriteriaSeq:
     def __len__(self) -> int:
         return len(self.items)
 
-    def __bool__(self) -> bool:
-        return bool(self.items)
-
-    def significance_first(self) -> tuple[SignedCriterion, ...]:
-        return tuple(reversed(self.items))
-
-    def has(self, criterion: Criterion, polarity: Polarity) -> bool:
-        return any(
-            i.criterion is criterion and i.polarity is polarity for i in self.items
-        )
-
     def polarity_of(self, criterion: Criterion) -> Polarity | None:
         for item in self.items:
             if item.criterion is criterion:
@@ -95,16 +84,16 @@ class CriteriaSeq:
         return None
 
     def facts(self) -> tuple[tuple[str, int], ...]:
-        """``criterion(name, position)`` facts; minimized positions are negative."""
+        """``criterion(name, position)`` facts, least significant at 1; minimized negative."""
         return tuple(
             (item.criterion.fact_name, -i if item.polarity is Polarity.MINUS else i)
-            for i, item in enumerate(self.items, 1)
+            for i, item in enumerate(reversed(self.items), 1)
         )
 
     @classmethod
     def from_facts(cls, facts: Iterable[tuple[str, int]]) -> CriteriaSeq:
         """The sequence whose :meth:`facts` these are."""
-        ordered = sorted(facts, key=lambda fact: abs(fact[1]))
+        ordered = sorted(facts, key=lambda fact: -abs(fact[1]))
         items = (
             SignedCriterion(_BY_FACT_NAME[name], Polarity.MINUS if i < 0 else Polarity.PLUS)
             for name, i in ordered
@@ -112,7 +101,7 @@ class CriteriaSeq:
         return cls(tuple(items))
 
     def __str__(self) -> str:
-        return ",".join(str(i) for i in self.significance_first())
+        return ",".join(str(i) for i in self.items)
 
 
 def _seq(*items: tuple[Criterion, Polarity]) -> CriteriaSeq:
@@ -121,16 +110,16 @@ def _seq(*items: tuple[Criterion, Polarity]) -> CriteriaSeq:
 
 #: Touch as little as possible: removals outrank other changes.
 PARANOID = _seq(
-    (Criterion.CHANGED, Polarity.MINUS),
     (Criterion.REMOVED, Polarity.MINUS),
+    (Criterion.CHANGED, Polarity.MINUS),
 )
 
 #: Chase the newest versions while still avoiding removals first.
 TRENDY = _seq(
-    (Criterion.NEW, Polarity.MINUS),
-    (Criterion.UNSAT_RECOMMENDS, Polarity.MINUS),
-    (Criterion.NOT_UP_TO_DATE, Polarity.MINUS),
     (Criterion.REMOVED, Polarity.MINUS),
+    (Criterion.NOT_UP_TO_DATE, Polarity.MINUS),
+    (Criterion.UNSAT_RECOMMENDS, Polarity.MINUS),
+    (Criterion.NEW, Polarity.MINUS),
 )
 
 _PRESETS = {"paranoid": PARANOID, "trendy": TRENDY}
@@ -161,4 +150,4 @@ def parse_criteria(text: str) -> CriteriaSeq:
             raise BadCriteria(f"unknown criterion {name!r}")
         polarity = Polarity.MINUS if sign == "-" else Polarity.PLUS
         items.append(SignedCriterion(criterion, polarity))
-    return CriteriaSeq(tuple(reversed(items)))
+    return CriteriaSeq(tuple(items))

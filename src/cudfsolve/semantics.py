@@ -131,15 +131,17 @@ def _selection(index: DocIndex, installed: Iterable[PackageId]) -> frozenset[Pac
 def compute_sets(
     doc: CudfDocument,
     installed: Iterable[PackageId],
+    criteria: CriteriaSeq,
     *,
     _index: DocIndex | None = None,
 ) -> dict[Criterion, frozenset]:
     """Measure the follow-up installation against the current one.
 
-    One set per criterion, whose size is that criterion's count: names,
-    except for ``UNSAT_RECOMMENDS``, which holds the (name, version,
-    clause index) triples of unserved recommends, indices starting at 1
-    in source order.
+    One set per criterion that ``criteria`` ranks, in its order, whose
+    size is that criterion's count: names, except for
+    ``UNSAT_RECOMMENDS``, which holds the (name, version, clause index)
+    triples of unserved recommends, indices starting at 1 in source
+    order.  Criteria left unranked are not measured.
     """
     index = _index if _index is not None else DocIndex(doc)
     chosen = _selection(index, installed)
@@ -151,24 +153,25 @@ def compute_sets(
     for pid in index.installed:
         o_versions.setdefault(pid.name, set()).add(pid.version)
 
-    return {
-        Criterion.NEW: frozenset(n for n in p_versions if n not in o_versions),
-        Criterion.REMOVED: frozenset(n for n in o_versions if n not in p_versions),
-        Criterion.CHANGED: frozenset(
+    measure = {
+        Criterion.NEW: lambda: (n for n in p_versions if n not in o_versions),
+        Criterion.REMOVED: lambda: (n for n in o_versions if n not in p_versions),
+        Criterion.CHANGED: lambda: (
             n
             for n in set(p_versions) | set(o_versions)
             if p_versions.get(n, set()) != o_versions.get(n, set())
         ),
-        Criterion.NOT_UP_TO_DATE: frozenset(
+        Criterion.NOT_UP_TO_DATE: lambda: (
             n for n, versions in p_versions.items() if index.umax[n] not in versions
         ),
-        Criterion.UNSAT_RECOMMENDS: frozenset(
+        Criterion.UNSAT_RECOMMENDS: lambda: (
             (pid.name, pid.version, i)
             for pid in chosen
             for i, clause in enumerate(index.by_id[pid].recommends.clauses, 1)
             if not index.providers(clause, chosen)
         ),
     }
+    return {sc.criterion: frozenset(measure[sc.criterion]()) for sc in criteria.items}
 
 
 @dataclass(frozen=True)
@@ -192,11 +195,9 @@ def evaluate(
     *,
     _index: DocIndex | None = None,
 ) -> ObjectiveVector:
-    """The objective vector of an installation under ``criteria``."""
-    sets = compute_sets(doc, installed, _index=_index)
-    return ObjectiveVector(
-        tuple((sc, len(sets[sc.criterion])) for sc in criteria.significance_first())
-    )
+    """The objective vector of an installation: the size of each ranked set."""
+    sets = compute_sets(doc, installed, criteria, _index=_index)
+    return ObjectiveVector(tuple((sc, len(sets[sc.criterion])) for sc in criteria.items))
 
 
 @dataclass(frozen=True)

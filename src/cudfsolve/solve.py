@@ -71,7 +71,7 @@ def solve_document(
     use_closure: bool = True,
     _index: DocIndex | None = None,
 ) -> SolveOutcome:
-    """Parse-to-answer convenience: shrink, compile, optimize, measure.
+    """Solve a parsed document: shrink, compile, optimize, check, measure.
 
     The wall clock of ``limits`` covers the shrinking and compiling too.
     Raises RuntimeError, a solver bug, when the answer breaks the document.
@@ -199,7 +199,7 @@ def _build_model(
         Criterion.NOT_UP_TO_DATE: outdated_lit,
     }
     terms: list[tuple[list[int], list[int]]] = []
-    for signed in CriteriaSeq.from_facts(facts.criteria).significance_first():
+    for signed in CriteriaSeq.from_facts(facts.criteria).items:
         if signed.criterion is Criterion.UNSAT_RECOMMENDS:
             scored = [(violation_lit(pid, members[sid]), w) for pid, sid, w in facts.recommends]
         else:
@@ -227,7 +227,8 @@ def solve(
 ) -> tuple[Status, frozenset[PackageId] | None]:
     """Optimize the criteria of ``facts``, most significant level first.
 
-    Returns the status and the best selection found, if any.
+    Returns the status and the best selection found, if any.  An
+    interrupt (Ctrl-C) during the search ends it as an expired budget does.
     """
     limits = limits if limits is not None else SolveLimits()
     deadline = (
@@ -241,9 +242,12 @@ def solve(
         """Solve within what is left of the budget; a model becomes the incumbent."""
         nonlocal remaining, best, counts
         before = solver.conflicts
-        result = solver.solve(
-            assumptions=assumptions, max_conflicts=remaining, deadline=deadline
-        )
+        try:
+            result = solver.solve(
+                assumptions=assumptions, max_conflicts=remaining, deadline=deadline
+            )
+        except KeyboardInterrupt:  # Ctrl-C spends the budget: keep the incumbent
+            return Result.UNKNOWN
         if remaining is not None:
             remaining = max(remaining - (solver.conflicts - before), 0)
         if result is Result.SAT:

@@ -121,6 +121,27 @@ def test_facts_subcommand(capsys, scenario_path):
     assert lines[0].startswith("unit(")
     assert "criterion(change,-1)." in lines
     assert "criterion(remove,-2)." in lines
+    # positions count up from the least significant criterion, in that order
+    expected = {
+        "paranoid": ["criterion(change,-1).", "criterion(remove,-2)."],
+        "trendy": [
+            "criterion(newpackage,-1).",
+            "criterion(recommend,-2).",
+            "criterion(uptodate,-3).",
+            "criterion(remove,-4).",
+        ],
+        "+new,-removed,-unsat_recommends": [
+            "criterion(recommend,-1).",
+            "criterion(remove,-2).",
+            "criterion(newpackage,3).",
+        ],
+    }
+    for criteria, criterion_lines in expected.items():
+        code, out, _ = run_cli(capsys, "facts", scenario_path, f"-c={criteria}")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("criterion(")] == (
+            criterion_lines
+        )
 
 
 def test_facts_infeasible_prints_fail(capsys, tmp_path):

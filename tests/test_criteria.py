@@ -14,10 +14,10 @@ from cudfsolve import (
 
 def test_paranoid_preset():
     assert parse_criteria("paranoid") is PARANOID
-    # stored least significant first; printed most significant first
+    # stored and printed most significant first
     assert [i.criterion for i in PARANOID.items] == [
-        Criterion.CHANGED,
         Criterion.REMOVED,
+        Criterion.CHANGED,
     ]
     assert str(PARANOID) == "-removed,-changed"
 
@@ -35,8 +35,8 @@ def test_parse_explicit_list_matches_preset():
 def test_parse_accepts_plus_signs_and_spaces():
     seq = parse_criteria(" -removed , +new ")
     assert seq.items == (
-        SignedCriterion(Criterion.NEW, Polarity.PLUS),
         SignedCriterion(Criterion.REMOVED, Polarity.MINUS),
+        SignedCriterion(Criterion.NEW, Polarity.PLUS),
     )
 
 
@@ -64,13 +64,20 @@ def test_duplicate_criterion_rejected_at_construction():
         CriteriaSeq((item, item))
 
 
-def test_significance_first_reverses_storage_order():
-    assert PARANOID.significance_first() == tuple(reversed(PARANOID.items))
+def test_storage_order_is_the_written_order():
+    assert [str(i) for i in TRENDY.items] == str(TRENDY).split(",")
+    # fact positions count up from the least significant criterion
+    assert TRENDY.facts() == (
+        ("newpackage", -1),
+        ("recommend", -2),
+        ("uptodate", -3),
+        ("remove", -4),
+    )
 
 
-def test_has_and_polarity_of():
-    assert PARANOID.has(Criterion.REMOVED, Polarity.MINUS)
-    assert not PARANOID.has(Criterion.REMOVED, Polarity.PLUS)
+def test_polarity_of():
+    assert PARANOID.polarity_of(Criterion.REMOVED) is Polarity.MINUS
+    assert parse_criteria("+removed").polarity_of(Criterion.REMOVED) is Polarity.PLUS
     assert PARANOID.polarity_of(Criterion.CHANGED) is Polarity.MINUS
     assert PARANOID.polarity_of(Criterion.NEW) is None
 

@@ -34,6 +34,9 @@ from cudfsolve.semantics import (
 )
 
 PARANOID = parse_criteria("paranoid")
+TRENDY = parse_criteria("trendy")
+#: every criterion, so that every set is measured
+ALL = parse_criteria("-new,-removed,-changed,-notuptodate,-unsat_recommends")
 
 
 def pid(name, version):
@@ -259,7 +262,7 @@ def test_index_upgrades_match_a_plain_scan(upgrade_heavy_docs):
 
 def test_compute_sets_on_the_scenario(scenario_doc):
     chosen = [pid("inst", 1), pid("dep", 1), pid("conf", 2), pid("avail", 1)]
-    sets = compute_sets(scenario_doc, chosen)
+    sets = compute_sets(scenario_doc, chosen, ALL)
     assert sets[Criterion.NEW] == {"inst"}
     assert sets[Criterion.REMOVED] == set()
     assert sets[Criterion.CHANGED] == {"inst", "conf"}
@@ -269,7 +272,7 @@ def test_compute_sets_on_the_scenario(scenario_doc):
 
 def test_removing_everything():
     doc = parse_document("package: a\nversion: 1\ninstalled: true\n\nrequest: \n")
-    sets = compute_sets(doc, [])
+    sets = compute_sets(doc, [], ALL)
     assert sets[Criterion.REMOVED] == {"a"} and sets[Criterion.CHANGED] == {"a"}
     assert sets[Criterion.NEW] == set() == sets[Criterion.NOT_UP_TO_DATE]
 
@@ -280,17 +283,22 @@ def test_two_versions_of_one_name_differ_from_one():
         "package: a\nversion: 2\n\nrequest: \n"
     )
     doc = parse_document(text)
-    sets = compute_sets(doc, [pid("a", 1), pid("a", 2)])
+    ranked = parse_criteria("-changed,-notuptodate")
+    sets = compute_sets(doc, [pid("a", 1), pid("a", 2)], ranked)
     assert sets[Criterion.CHANGED] == {"a"}  # {1} became {1, 2}
     assert sets[Criterion.NOT_UP_TO_DATE] == set()
 
 
+RECOMMENDS = parse_criteria("-unsat_recommends")
+
+
 def test_unsat_recommends_counts_clauses(scenario_doc):
     chosen = [pid("dep", 3), pid("avail", 1)]
-    sets = compute_sets(scenario_doc, chosen)
+    sets = compute_sets(scenario_doc, chosen, RECOMMENDS)
     assert sets[Criterion.UNSAT_RECOMMENDS] == {("dep", 3, 1)}
     satisfied = chosen + [pid("recomm", 1)]
-    assert compute_sets(scenario_doc, satisfied)[Criterion.UNSAT_RECOMMENDS] == set()
+    sets = compute_sets(scenario_doc, satisfied, RECOMMENDS)
+    assert sets[Criterion.UNSAT_RECOMMENDS] == set()
 
 
 def test_recommends_satisfied_through_provides():
@@ -300,13 +308,38 @@ def test_recommends_satisfied_through_provides():
         "request: \n"
     )
     doc = parse_document(text)
-    assert compute_sets(doc, [pid("a", 1), pid("b", 1)])[Criterion.UNSAT_RECOMMENDS] == set()
-    assert compute_sets(doc, [pid("a", 1)])[Criterion.UNSAT_RECOMMENDS] == {("a", 1, 1)}
+    sets = compute_sets(doc, [pid("a", 1), pid("b", 1)], RECOMMENDS)
+    assert sets[Criterion.UNSAT_RECOMMENDS] == set()
+    sets = compute_sets(doc, [pid("a", 1)], RECOMMENDS)
+    assert sets[Criterion.UNSAT_RECOMMENDS] == {("a", 1, 1)}
 
 
 def test_compute_sets_rejects_foreign_packages(scenario_doc):
     with pytest.raises(UnknownName):
-        compute_sets(scenario_doc, [pid("ghost", 1)])
+        compute_sets(scenario_doc, [pid("ghost", 1)], PARANOID)
+
+
+def test_the_referee_measures_only_the_ranked_criteria(monkeypatch, scenario_doc):
+    # dep 3 recommends what is not chosen; only trendy ranks recommends,
+    # and only the recommends scan asks the index who serves a clause
+    chosen = [pid("dep", 3), pid("avail", 1)]
+    assert list(compute_sets(scenario_doc, chosen, PARANOID)) == [
+        Criterion.REMOVED,
+        Criterion.CHANGED,
+    ]
+    asked = []
+    original = DocIndex.providers
+
+    def counting(self, *args, **kwargs):
+        asked.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DocIndex, "providers", counting)
+    assert str(evaluate(scenario_doc, chosen, TRENDY)).endswith("-unsat_recommends=1 -new=0")
+    assert asked
+    asked.clear()
+    evaluate(scenario_doc, chosen, PARANOID)
+    assert asked == []
 
 
 def test_evaluate_orders_by_significance(scenario_doc):

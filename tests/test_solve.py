@@ -31,6 +31,7 @@ from cudfsolve import (
     solve_document,
     validate_solution,
 )
+from cudfsolve.cli import main
 from cudfsolve.sat import Solver
 
 PARANOID = parse_criteria("paranoid")
@@ -226,6 +227,43 @@ def test_budget_exhaustion_keeps_the_incumbent():
     # ran out of budget, so we keep what we have
     assert selection is not None
     assert evaluate(doc, selection, fewest_new).key() == (7,)
+
+
+@pytest.mark.parametrize("at_call", [1, 2])
+def test_an_interrupted_search_acts_like_an_expired_budget(
+    monkeypatch, capsys, tmp_path, scenario_text, scenario_doc, at_call
+):
+    # Ctrl-C raises KeyboardInterrupt wherever the search happens to be;
+    # raising it from the search itself needs no signal and no clock
+    calls = []
+    original = Solver.solve
+
+    def interrupted(self, **kwargs):
+        calls.append(kwargs)
+        if len(calls) == at_call:
+            raise KeyboardInterrupt
+        return original(self, **kwargs)
+
+    monkeypatch.setattr(Solver, "solve", interrupted)
+    path, answer = tmp_path / "upgrade.cudf", tmp_path / "answer.cudf"
+    path.write_text(scenario_text)
+    facts = generate_facts(scenario_doc, TRENDY, compute_closure(scenario_doc, TRENDY))
+    try:
+        status, selection = solve(facts)
+        calls.clear()
+        code = main(["solve", str(path), "-c", "trendy", "-o", str(answer)])
+    except KeyboardInterrupt:  # escaping, it would end the whole test session
+        pytest.fail("the interrupt escaped the search")
+    err = capsys.readouterr().err
+    assert status is Status.TIMED_OUT and code == 0
+    if at_call == 1:  # nothing found yet
+        assert selection is None
+        assert answer.read_text() == "FAIL\n"
+        assert err == "timed out; no solution found\n"
+    else:  # the first model is the incumbent
+        assert validate_solution(scenario_doc, selection).ok
+        assert parse_document(answer.read_text()).installed_ids() == selection
+        assert err.startswith("timed out; writing best incumbent found\n")
 
 
 @pytest.mark.parametrize("status", [Status.OPTIMAL, Status.TIMED_OUT])
