@@ -6,7 +6,8 @@ the single line ``FAIL``), ``facts`` (the compiled logic facts),
 solution against a document) and ``gen`` (seeded random instances).
 Results go to stdout or ``--output``; diagnostics go to stderr.  Exit
 codes: 0 for answers (``FAIL`` is an answer), 1 for a failed
-validation, 2 for usage, parse or I/O errors.
+validation, 2 for usage, parse or I/O errors, 130 for an interrupt
+outside the search (an interrupted search writes its best answer).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .errors import CudfError, InfeasibleInput, UnknownName
 from .facts import generate, render_facts
 from .gen import generate_instance
 from .parser import parse_document, render_document, render_solution
-from .semantics import DocIndex, validate_solution
+from .semantics import validate_solution
+from .semantics import DocIndex  # noqa: F401  perfbench/tracing.py wraps cli.DocIndex
 from .solve import SolveLimits, Status, solve_document
 
 FAIL_LINE = "FAIL\n"
@@ -141,6 +143,9 @@ def run(args: argparse.Namespace) -> int:
     except (CudfError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -155,7 +160,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         criteria = parse_criteria(args.criteria)
     text = _read_input(args.input)
     doc = parse_document(text, warn=lambda message: print(message, file=sys.stderr))
-    index = DocIndex(doc)
 
     if args.command == "solve":
         try:
@@ -164,7 +168,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 criteria,
                 limits=SolveLimits(wall_clock=args.timeout - (monotonic() - started)),
                 use_closure=not args.no_closure,
-                _index=index,
             )
         except InfeasibleInput:
             _write(args.output, FAIL_LINE)
@@ -184,7 +187,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         solution_doc = parse_document(_read_input(args.solution))
         selection = solution_doc.installed_ids()
         try:
-            report = validate_solution(doc, selection, _index=index)
+            report = validate_solution(doc, selection)
         except UnknownName as exc:
             _write(args.output, f"unknown package in solution: {exc}\n")
             return 1
@@ -194,14 +197,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         _write(args.output, "".join(f"{violation}\n" for violation in report.violations))
         return 1
 
-    if args.no_closure:
-        shrunk = full_scope(doc, _index=index)
-    else:
-        shrunk = compute_closure(doc, criteria, _index=index)
+    shrunk = full_scope(doc) if args.no_closure else compute_closure(doc, criteria)
 
     if args.command == "facts":
         try:
-            facts = generate(doc, criteria, shrunk, _index=index)
+            facts = generate(doc, criteria, shrunk)
         except InfeasibleInput:
             _write(args.output, FAIL_LINE)
             return 0

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .criteria import CriteriaSeq, Criterion, Polarity
 from .model import CudfDocument, PackageId
-from .semantics import DocIndex
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,7 @@ class ClosureResult:
     iterations: int
 
 
-def compute_out(doc: CudfDocument, *, _index: DocIndex | None = None) -> frozenset[PackageId]:
+def compute_out(doc: CudfDocument) -> frozenset[PackageId]:
     """Packages no solution may contain.
 
     Covers providers of remove targets, and per upgrade clause:
@@ -37,7 +36,7 @@ def compute_out(doc: CudfDocument, *, _index: DocIndex | None = None) -> frozens
     names at once, and packages providing upgraded names only in
     versions the clause does not accept.
     """
-    index = _index if _index is not None else DocIndex(doc)
+    index = doc.index
     out: set[PackageId] = set()
 
     for clause in index.effective.remove.clauses:
@@ -63,31 +62,27 @@ def compute_out(doc: CudfDocument, *, _index: DocIndex | None = None) -> frozens
     return frozenset(out)
 
 
-def compute_closure(
-    doc: CudfDocument,
-    criteria: CriteriaSeq,
-    *,
-    _index: DocIndex | None = None,
-) -> ClosureResult:
+def compute_closure(doc: CudfDocument, criteria: CriteriaSeq) -> ClosureResult:
     """The packages that can influence an optimal solution.
 
-    Starts from the providers of the request, seeds every package a
-    criterion could reward keeping or adding, then follows dependency
-    (and, when unsatisfied recommendations are penalized,
-    recommendation) providers to a fixpoint.  ``iterations`` counts the
-    fixpoint rounds that found something new.
+    Narrows :func:`full_scope`'s candidates, and returns its result
+    when the request is infeasible.  Starts from the providers of the
+    request, seeds every package a criterion could reward keeping or
+    adding, then follows dependency (and, when unsatisfied
+    recommendations are penalized, recommendation) providers to a
+    fixpoint.  ``iterations`` counts the fixpoint rounds that found
+    something new.
     """
-    index = _index if _index is not None else DocIndex(doc)
-    out = compute_out(doc, _index=index)
-    allowed = frozenset(doc.universe() - out)
+    scope = full_scope(doc)
+    if not scope.feasible:
+        return scope
+    index = doc.index
+    allowed = scope.closure
     o_names = {pid.name for pid in index.installed}
 
     closure: set[PackageId] = set()
     for clause in index.effective.install.clauses + index.effective.upgrade.clauses:
-        found = index.providers(clause, allowed)
-        if not found:
-            return ClosureResult(out=out, closure=frozenset(), feasible=False, iterations=0)
-        closure.update(found)
+        closure.update(index.providers(clause, allowed))
 
     def seed(condition) -> None:
         closure.update(pid for pid in allowed if condition(pid))
@@ -131,19 +126,19 @@ def compute_closure(
         iterations += 1
 
     return ClosureResult(
-        out=out, closure=frozenset(closure), feasible=True, iterations=iterations
+        out=scope.out, closure=frozenset(closure), feasible=True, iterations=iterations
     )
 
 
-def full_scope(doc: CudfDocument, *, _index: DocIndex | None = None) -> ClosureResult:
+def full_scope(doc: CudfDocument) -> ClosureResult:
     """Preprocessing with the closure step disabled.
 
     Still excludes the packages no solution may contain and still
     checks feasibility, but keeps every remaining package as a
     candidate.
     """
-    index = _index if _index is not None else DocIndex(doc)
-    out = compute_out(doc, _index=index)
+    index = doc.index
+    out = compute_out(doc)
     allowed = frozenset(doc.universe() - out)
     for clause in index.effective.install.clauses + index.effective.upgrade.clauses:
         if not index.providers(clause, allowed):

@@ -18,7 +18,6 @@ from .closure import ClosureResult
 from .criteria import CriteriaSeq, Criterion
 from .errors import InfeasibleInput
 from .model import CudfDocument, PackageId
-from .semantics import DocIndex
 
 
 @dataclass(frozen=True, order=True)
@@ -53,13 +52,7 @@ class FactSet:
         return tuple((pid, sid) for sid in sorted(members) for pid in sorted(members[sid]))
 
 
-def generate(
-    doc: CudfDocument,
-    criteria: CriteriaSeq,
-    closure: ClosureResult,
-    *,
-    _index: DocIndex | None = None,
-) -> FactSet:
+def generate(doc: CudfDocument, criteria: CriteriaSeq, closure: ClosureResult) -> FactSet:
     """Turn a document and its preprocessing result into facts.
 
     Only closure members are described, except that the currently
@@ -68,7 +61,7 @@ def generate(
     """
     if not closure.feasible:
         raise InfeasibleInput("the request cannot be satisfied")
-    index = _index if _index is not None else DocIndex(doc)
+    index = doc.index
     scope = closure.closure
     ordered = [desc for desc in doc.packages if desc.id in scope]
     ids: dict[frozenset[PackageId], SetId] = {}

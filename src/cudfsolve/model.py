@@ -12,9 +12,13 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DuplicatePackage, InvalidProvide, InvalidVersion
+
+if TYPE_CHECKING:
+    from .semantics import DocIndex
 
 #: Largest version value accepted anywhere (machine-word sized).
 MAX_VERSION = 2**63 - 1
@@ -183,6 +187,13 @@ class CudfDocument:
 
     def installed_ids(self) -> frozenset[PackageId]:
         return frozenset(p.id for p in self.packages if p.installed)
+
+    @cached_property
+    def index(self) -> DocIndex:
+        """Lookup tables, built on first use; ``==``, ``hash`` and ``replace`` ignore them."""
+        from .semantics import DocIndex  # semantics imports this module
+
+        return DocIndex(self)
 
 
 def _check_version(value: int) -> None:

@@ -40,17 +40,17 @@ def bound_satisfiable(bound: VersionBound | None) -> bool:
 class DocIndex:
     """Precomputed lookup structures for one document.
 
-    Built once and shared by the preprocessing, fact generation and
-    validation paths; the public functions in this module accept plain
-    documents and build one on the fly.  ``touching`` holds, per
-    provided name, each package that provides it (itself included) and
-    the versions it provides, with None for every version;
-    ``upgrades`` holds, per effective upgrade clause, the names it can
-    target and the highest version of each that is installed now.
+    Built once per document, as ``CudfDocument.index``, and shared by
+    the preprocessing, fact generation and validation paths.  It keeps
+    no reference to the document, so the two form no cycle.
+    ``touching`` holds, per provided name, each package that provides
+    it (itself included) and the versions it provides, with None for
+    every version; ``upgrades`` holds, per effective upgrade clause,
+    the names it can target and the highest version of each that is
+    installed now.
     """
 
     def __init__(self, doc: CudfDocument) -> None:
-        self.doc = doc
         self.by_id: dict[PackageId, PackageDesc] = {p.id: p for p in doc.packages}
         self.installed: frozenset[PackageId] = doc.installed_ids()
         self.umax: dict[str, int] = {}
@@ -132,8 +132,6 @@ def compute_sets(
     doc: CudfDocument,
     installed: Iterable[PackageId],
     criteria: CriteriaSeq,
-    *,
-    _index: DocIndex | None = None,
 ) -> dict[Criterion, frozenset]:
     """Measure the follow-up installation against the current one.
 
@@ -143,7 +141,7 @@ def compute_sets(
     triples of unserved recommends, indices starting at 1 in source
     order.  Criteria left unranked are not measured.
     """
-    index = _index if _index is not None else DocIndex(doc)
+    index = doc.index
     chosen = _selection(index, installed)
 
     p_versions: dict[str, set[int]] = {}
@@ -192,11 +190,9 @@ def evaluate(
     doc: CudfDocument,
     installed: Iterable[PackageId],
     criteria: CriteriaSeq,
-    *,
-    _index: DocIndex | None = None,
 ) -> ObjectiveVector:
     """The objective vector of an installation: the size of each ranked set."""
-    sets = compute_sets(doc, installed, criteria, _index=_index)
+    sets = compute_sets(doc, installed, criteria)
     return ObjectiveVector(tuple((sc, len(sets[sc.criterion])) for sc in criteria.items))
 
 
@@ -271,8 +267,11 @@ def validate_solution(
     targets gone), dependencies and conflicts of everything installed,
     and the upgrade rules: no version below one currently provided, and
     one available version at most per upgraded name.
+
+    The private keyword serves only the benchmark's corpus builder,
+    which holds an index already; it goes with ROADMAP item 1.
     """
-    index = _index if _index is not None else DocIndex(doc)
+    index = _index if _index is not None else doc.index
     chosen = _selection(index, installed)
     ordered = sorted(chosen)
     violations: list[Violation] = []

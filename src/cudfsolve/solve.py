@@ -31,7 +31,7 @@ from .errors import ScopeTooLarge
 from .facts import FactSet, generate
 from .model import Clause, CudfDocument, PackageId
 from .sat import Result, Solver
-from .semantics import DocIndex, ObjectiveVector, evaluate, validate_solution
+from .semantics import ObjectiveVector, evaluate, validate_solution
 
 
 class Status(enum.Enum):
@@ -69,7 +69,6 @@ def solve_document(
     *,
     limits: SolveLimits | None = None,
     use_closure: bool = True,
-    _index: DocIndex | None = None,
 ) -> SolveOutcome:
     """Solve a parsed document: shrink, compile, optimize, check, measure.
 
@@ -78,22 +77,18 @@ def solve_document(
     """
     started = monotonic()
     limits = limits if limits is not None else SolveLimits()
-    index = _index if _index is not None else DocIndex(doc)
-    if use_closure:
-        shrunk = compute_closure(doc, criteria, _index=index)
-    else:
-        shrunk = full_scope(doc, _index=index)
-    facts = generate(doc, criteria, shrunk, _index=index)
+    shrunk = compute_closure(doc, criteria) if use_closure else full_scope(doc)
+    facts = generate(doc, criteria, shrunk)
     if limits.wall_clock is not None:
         # a spent budget goes negative, so the search stops before it starts
         limits = replace(limits, wall_clock=limits.wall_clock - (monotonic() - started))
     status, best = solve(facts, limits=limits)
     if best is None:
         return SolveOutcome(status)
-    report = validate_solution(doc, best, _index=index)
+    report = validate_solution(doc, best)
     if not report.ok:
         raise RuntimeError(f"solver answer breaks the document: {report.violations[0]}")
-    return SolveOutcome(status, Solution(best, evaluate(doc, best, criteria, _index=index)))
+    return SolveOutcome(status, Solution(best, evaluate(doc, best, criteria)))
 
 
 # ----------------------------------------------------------------------
@@ -283,19 +278,14 @@ def solve(
 # exhaustive oracle
 
 
-def brute_force(
-    doc: CudfDocument,
-    criteria: CriteriaSeq,
-    *,
-    _index: DocIndex | None = None,
-) -> Solution | None:
+def brute_force(doc: CudfDocument, criteria: CriteriaSeq) -> Solution | None:
     """Try every subset of the document's packages.
 
     Returns the best valid selection, preferring smaller then
     lexicographically smaller witnesses among ties, or None when no
     subset is valid.  Refuses universes past 20 packages.
     """
-    index = _index if _index is not None else DocIndex(doc)
+    index = doc.index
     pool = tuple(p.id for p in doc)
     if len(pool) > 20:
         raise ScopeTooLarge(f"cannot enumerate 2**{len(pool)} selections")
@@ -325,9 +315,9 @@ def brute_force(
         ):
             continue
         selection = frozenset(pid for i, pid in enumerate(pool) if mask >> i & 1)
-        if not validate_solution(doc, selection, _index=index).ok:
+        if not validate_solution(doc, selection).ok:
             continue
-        vector = evaluate(doc, selection, criteria, _index=index)
+        vector = evaluate(doc, selection, criteria)
         rank = (vector.key(), len(selection), tuple(sorted(selection)))
         if best_rank is None or rank < best_rank:
             best_rank = rank

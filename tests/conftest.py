@@ -6,7 +6,6 @@ import pytest
 from cudfsolve import (
     Clause,
     Constraint,
-    DocIndex,
     Formula,
     RelOp,
     VersionBound,
@@ -84,11 +83,6 @@ def scenario_text():
 @pytest.fixture()
 def scenario_doc():
     return parse_document(UPGRADE_SCENARIO)
-
-
-@pytest.fixture()
-def scenario_index(scenario_doc):
-    return DocIndex(scenario_doc)
 
 
 def _upgrade_heavy(seed, packages=30):

@@ -1,3 +1,4 @@
+import importlib
 import io
 import time
 
@@ -349,3 +350,21 @@ def test_every_subcommand_runs_twice_identically(capsys, tmp_path, scenario_path
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second, f"{argv} was not reproducible"
+
+
+@pytest.mark.parametrize("module, command", [("cli", "facts"), ("solve", "solve")])
+def test_an_interrupt_outside_the_search_exits_130(
+    capsys, monkeypatch, scenario_path, module, command
+):
+    # Ctrl-C raises KeyboardInterrupt wherever the command happens to be;
+    # raising it from the closure needs no signal and no clock
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    owner = importlib.import_module(f"cudfsolve.{module}")
+    monkeypatch.setattr(owner, "compute_closure", interrupted)
+    try:
+        code, out, err = run_cli(capsys, command, scenario_path)
+    except KeyboardInterrupt:  # escaping, it would end the whole test session
+        pytest.fail("the interrupt escaped the command")
+    assert (code, out, err) == (130, "", "interrupted\n")

@@ -1,7 +1,6 @@
 import random
 
 from cudfsolve import (
-    DocIndex,
     PackageId,
     compute_closure,
     compute_out,
@@ -118,8 +117,8 @@ def test_each_upgrade_candidate_provides_one_accepted_version(upgrade_heavy_docs
     # index.touching to find its rivals
     provided = 0
     for doc in upgrade_heavy_docs:
-        index = DocIndex(doc)
-        out = compute_out(doc, _index=index)
+        index = doc.index
+        out = compute_out(doc)
         for clause, highest in index.upgrades:
             for desc in doc:
                 if desc.id in out:
@@ -149,8 +148,8 @@ def test_closure_is_closed_under_dependencies():
     rng = random.Random(7)
     for _ in range(15):
         doc = generate_instance(rng.randrange(10**6), packages=40, depends_density=0.7)
-        index = DocIndex(doc)
-        result = compute_closure(doc, PARANOID, _index=index)
+        index = doc.index
+        result = compute_closure(doc, PARANOID)
         if not result.feasible:
             continue
         allowed = frozenset(doc.universe() - result.out)
@@ -165,8 +164,8 @@ def test_closure_is_closed_under_dependencies():
 def test_closure_contains_every_request_provider():
     for seed in range(20):
         doc = generate_instance(seed, packages=25, install_requests=3)
-        index = DocIndex(doc)
-        result = compute_closure(doc, PARANOID, _index=index)
+        index = doc.index
+        result = compute_closure(doc, PARANOID)
         if not result.feasible:
             continue
         allowed = frozenset(doc.universe() - result.out)

@@ -5,7 +5,6 @@ from conftest import _upgrade_heavy
 from test_acceptance import _corpus_knobs
 
 from cudfsolve import (
-    DocIndex,
     FactSet,
     InfeasibleInput,
     PackageId,
@@ -281,10 +280,9 @@ def test_printed_facts_are_the_whole_problem(upgrade_heavy_docs):
     docs += upgrade_heavy_docs + [_upgrade_heavy(seed) for seed in range(40, 400)]
     printed, solved = set(), set()
     for number, doc in enumerate(docs):
-        index = DocIndex(doc)
         for criteria in (PARANOID, TRENDY):
             try:
-                facts = generate_facts(doc, criteria, compute_closure(doc, criteria, _index=index))
+                facts = generate_facts(doc, criteria, compute_closure(doc, criteria))
             except InfeasibleInput:
                 continue
             text = render_facts(facts)
@@ -297,10 +295,10 @@ def test_printed_facts_are_the_whole_problem(upgrade_heavy_docs):
             if selection is None:
                 assert parsed_selection is None
                 continue
-            assert validate_solution(doc, parsed_selection, _index=index).ok
+            assert validate_solution(doc, parsed_selection).ok
             assert (
-                evaluate(doc, parsed_selection, criteria, _index=index).key()
-                == evaluate(doc, selection, criteria, _index=index).key()
+                evaluate(doc, parsed_selection, criteria).key()
+                == evaluate(doc, selection, criteria).key()
             )
             solved.add(number)
     assert len(printed) >= 300 and len(solved) >= 200

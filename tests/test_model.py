@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from cudfsolve import (
@@ -16,6 +20,8 @@ from cudfsolve import (
     VersionBound,
     effective_request,
     make_document,
+    parse_document,
+    render_document,
 )
 from cudfsolve.model import MAX_VERSION, TRUE_FORMULA, false_formula
 
@@ -157,3 +163,26 @@ def test_keep_clauses_append_after_the_requested_installs():
     # the untouched parts are shared, not copied
     assert effective.remove is request.remove
     assert effective.upgrade is request.upgrade
+
+
+def test_the_cached_index_cannot_be_seen(scenario_text):
+    doc = parse_document(scenario_text)
+    index = doc.index
+    assert doc.index is index
+    # equality, hashing and repr read the fields only
+    again = parse_document(render_document(doc))
+    assert doc == again and hash(doc) == hash(again)
+    assert repr(doc) == repr(again)
+    # a replaced document gets its own index, for its own request
+    replaced = dataclasses.replace(doc, request=Request())
+    assert replaced.index is not index
+    assert index.upgrades and not replaced.index.upgrades
+    # the index holds no reference back: the document goes with its last
+    # reference, so the cyclic collector never has to find it
+    ref = weakref.ref(doc)
+    gc.disable()
+    try:
+        del doc
+        assert ref() is None
+    finally:
+        gc.enable()

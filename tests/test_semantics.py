@@ -120,11 +120,11 @@ def test_bound_satisfiable(op, value, expected):
 # ---------------------------------------------------------------- index
 
 
-def test_index_providers_are_sorted_and_deduplicated(scenario_index):
+def test_index_providers_are_sorted_and_deduplicated(scenario_doc):
     clause = parse_formula("conf < 3").clauses[0]
-    assert scenario_index.providers(clause) == [pid("conf", 1), pid("conf", 2)]
+    assert scenario_doc.index.providers(clause) == [pid("conf", 1), pid("conf", 2)]
     allowed = frozenset({pid("conf", 2)})
-    assert scenario_index.providers(clause, allowed) == [pid("conf", 2)]
+    assert scenario_doc.index.providers(clause, allowed) == [pid("conf", 2)]
 
 
 def _stanza_serves(d, atom):
@@ -192,8 +192,8 @@ def test_touching_lists_providers_in_document_order(upgrade_heavy_docs):
             assert list(provided) == [d.id for d in doc if _stanza_serves(d, Constraint(name))]
 
 
-def test_index_umax(scenario_index):
-    assert scenario_index.umax == {
+def test_index_umax(scenario_doc):
+    assert scenario_doc.index.umax == {
         "inst": 3,
         "conf": 2,
         "feat": 1,
@@ -204,8 +204,8 @@ def test_index_umax(scenario_index):
     }
 
 
-def test_index_upgrades(scenario_index):
-    [(clause, highest)] = scenario_index.upgrades
+def test_index_upgrades(scenario_doc):
+    [(clause, highest)] = scenario_doc.index.upgrades
     assert str(clause) == "conf > 1"
     assert highest == {"conf": 1}
 

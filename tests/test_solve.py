@@ -361,14 +361,25 @@ def test_brute_force_refuses_large_scopes():
         brute_force(doc, PARANOID)
 
 
-@pytest.mark.parametrize("entry", [solve_document, brute_force], ids=lambda f: f.__name__)
-def test_library_entry_points_build_one_index(monkeypatch, scenario_doc, entry):
-    # a callee that builds its own index instead of taking the caller's
-    # is a silent slowdown, not an error
+@pytest.mark.parametrize("first", [solve_document, brute_force], ids=lambda f: f.__name__)
+def test_library_entry_points_build_one_index(monkeypatch, scenario_doc, first):
+    # one document builds one index, whichever entry point asks first; an
+    # entry point that built its own would be a silent slowdown, not an error
+    doc, chosen = scenario_doc, scenario_doc.installed_ids()
+    calls = [
+        lambda: solve_document(doc, TRENDY),
+        lambda: evaluate(doc, chosen, TRENDY),
+        lambda: validate_solution(doc, chosen),
+        lambda: compute_closure(doc, TRENDY),
+        lambda: full_scope(doc),
+        lambda: generate_facts(doc, TRENDY, full_scope(doc)),
+        lambda: brute_force(doc, TRENDY),
+    ]
     built = []
     count_calls(monkeypatch, DocIndex, "__init__", built)
-    assert entry(scenario_doc, TRENDY) is not None
-    assert [args[1] for args in built] == [scenario_doc]
+    for call in calls if first is solve_document else reversed(calls):
+        assert call() is not None
+    assert [args[1] for args in built] == [doc]
 
 
 def test_model_stats(scenario_doc):
@@ -406,12 +417,11 @@ def test_oracle_prefilter_only_skips_invalid_subsets(monkeypatch):
         brute_force(doc, PARANOID)
         passed = {frozenset(args[1]) for args in checked}
         pool = [desc.id for desc in doc]
-        index = DocIndex(doc)
         for mask in range(1 << len(pool)):
             selection = frozenset(p for i, p in enumerate(pool) if mask >> i & 1)
             if selection not in passed:
                 dropped += 1
-                assert not validate_solution(doc, selection, _index=index).ok, (doc, selection)
+                assert not validate_solution(doc, selection).ok, (doc, selection)
     assert dropped > 10 * len(docs)
 
 
@@ -441,7 +451,7 @@ def test_upgrades_that_reach_a_provide_match_the_oracle():
     mismatches, reaching, open_ended, feasible = [], 0, 0, 0
     for seed in range(40):
         doc = _upgrade_heavy(seed, packages=8 + seed % 9)
-        index = DocIndex(doc)
+        index = doc.index
         upgraded = {atom.name for c in index.effective.upgrade.clauses for atom in c.atoms}
         provides = [
             atom for desc in doc for c in desc.provides.clauses for atom in c.atoms
@@ -450,7 +460,7 @@ def test_upgrades_that_reach_a_provide_match_the_oracle():
         reaching += bool(provides)
         open_ended += any(atom.bound is None for atom in provides)
         for criteria in (PARANOID, TRENDY):
-            oracle = brute_force(doc, criteria, _index=index)
+            oracle = brute_force(doc, criteria)
             expected = None if oracle is None else oracle.objective.key()
             feasible += criteria is PARANOID and oracle is not None
             for use_closure in (True, False):
@@ -459,7 +469,7 @@ def test_upgrades_that_reach_a_provide_match_the_oracle():
                 except InfeasibleInput:
                     solution = None
                 if solution is not None:
-                    assert validate_solution(doc, solution.installed, _index=index).ok
+                    assert validate_solution(doc, solution.installed).ok
                 got = None if solution is None else solution.objective.key()
                 if got != expected:
                     mismatches.append((seed, str(criteria), use_closure, got, expected))
