@@ -87,18 +87,25 @@ def compute_closure(doc: CudfDocument, criteria: CriteriaSeq) -> ClosureResult:
     def seed(condition) -> None:
         closure.update(pid for pid in allowed if condition(pid))
 
+    # seeds defined by the installed set come from the index by set
+    # operations; the others test every allowed package
     if criteria.polarity_of(Criterion.NEW) is Polarity.PLUS:
         seed(lambda pid: pid.name not in o_names)
     if criteria.polarity_of(Criterion.REMOVED) is Polarity.MINUS:
-        seed(lambda pid: pid.name in o_names)
+        closure.update(
+            pid
+            for name in o_names
+            for pid in index.touching[name]
+            if pid.name == name and pid in allowed
+        )
     if criteria.polarity_of(Criterion.CHANGED) is Polarity.PLUS:
-        seed(lambda pid: pid not in index.installed)
+        closure.update(allowed - index.installed)
     if criteria.polarity_of(Criterion.CHANGED) is Polarity.MINUS:
-        seed(lambda pid: pid in index.installed)
+        closure.update(allowed & index.installed)
     if criteria.polarity_of(Criterion.NOT_UP_TO_DATE) is Polarity.PLUS:
         seed(lambda pid: pid.version < index.umax[pid.name])
     if criteria.polarity_of(Criterion.UNSAT_RECOMMENDS) is Polarity.PLUS:
-        seed(lambda pid: bool(index.by_id[pid].recommends.clauses))
+        seed(lambda pid: bool(index.by_id[pid].recommends))
 
     follow_recommends = criteria.polarity_of(Criterion.UNSAT_RECOMMENDS) is Polarity.MINUS
     follow_newest = criteria.polarity_of(Criterion.NOT_UP_TO_DATE) is Polarity.MINUS

@@ -5,6 +5,12 @@ request.  Versions are plain positive integers; dependency-like
 properties are conjunctions of disjunctions of version constraints.
 Everything here is immutable so documents can be shared freely between
 the preprocessing, solving and validation stages.
+
+A :class:`Formula` read from CUDF text may hold that text, already
+checked by the parser, and build its clauses the first time they are
+read, so a solve that looks at a few packages of a large universe pays
+for those packages' formulas only.  Nothing else can tell the two
+kinds of formula apart.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import DuplicatePackage, InvalidProvide, InvalidVersion
 
@@ -57,9 +63,12 @@ class RelOp(enum.Enum):
         return left >= right
 
 
-@dataclass(frozen=True, order=True)
-class PackageId:
-    """A single versioned package: the unit everything else counts."""
+class PackageId(NamedTuple):
+    """A single versioned package: the unit everything else counts.
+
+    A tuple, so hashing, equality and ordering run in C; it equals the
+    plain tuple ``(name, version)``.
+    """
 
     name: str
     version: int
@@ -107,14 +116,48 @@ class Clause:
         return " | ".join(str(a) for a in self.atoms)
 
 
-@dataclass(frozen=True)
 class Formula:
-    """A conjunction of clauses.  The empty formula is trivially true."""
+    """A conjunction of clauses.  The empty formula is trivially true.
 
-    clauses: tuple[Clause, ...] = ()
+    Immutable, and compared, hashed and printed by its clauses alone.
+    """
+
+    # the clauses, or the checked text they are built from on first read
+    __slots__ = ("_clauses",)
+
+    def __init__(self, clauses: tuple[Clause, ...] = ()) -> None:
+        self._clauses: tuple[Clause, ...] | str = clauses
+
+    @classmethod
+    def deferred(cls, text: str) -> Formula:
+        """The formula of non-empty ``text`` that the parser's up-front
+        check has accepted, so that building it cannot fail."""
+        formula = cls.__new__(cls)
+        formula._clauses = text
+        return formula
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        clauses = self._clauses
+        if isinstance(clauses, str):
+            from .parser import parse_formula  # the parser imports this module
+
+            clauses = self._clauses = parse_formula(clauses).clauses
+        return clauses
 
     def __bool__(self) -> bool:
-        return bool(self.clauses)
+        return bool(self._clauses)  # deferred text is never empty
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self.clauses == other.clauses
+
+    def __hash__(self) -> int:
+        return hash((self.clauses,))
+
+    def __repr__(self) -> str:
+        return f"Formula(clauses={self.clauses!r})"
 
     def __str__(self) -> str:
         return ", ".join(str(c) for c in self.clauses)
@@ -142,7 +185,7 @@ class Keep(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PackageDesc:
     """One package stanza."""
 

@@ -54,16 +54,19 @@ class DocIndex:
         self.by_id: dict[PackageId, PackageDesc] = {p.id: p for p in doc.packages}
         self.installed: frozenset[PackageId] = doc.installed_ids()
         self.umax: dict[str, int] = {}
-        for desc in doc.packages:
-            if self.umax.get(desc.name, 0) < desc.version:
-                self.umax[desc.name] = desc.version
         # provided name -> each package providing it, in document order,
         # -> its provided versions, sorted, or None for every version
         self.touching: dict[str, dict[PackageId, tuple[int, ...] | None]] = {}
         for desc in doc.packages:
+            name, version = desc.id
+            if self.umax.get(name, 0) < version:
+                self.umax[name] = version
+            if not desc.provides:  # most packages provide only themselves
+                self.touching.setdefault(name, {})[desc.id] = (version,)
+                continue
             # a package provides itself; an unversioned provide covers
             # every version, which swallows exact ones of the same name
-            provided: dict[str, set[int] | None] = {desc.name: {desc.version}}
+            provided: dict[str, set[int] | None] = {name: {version}}
             for clause in desc.provides.clauses:
                 atom = clause.atoms[0]
                 versions = provided.setdefault(atom.name, set())

@@ -1,11 +1,15 @@
+import dataclasses
 import random
 
 from cudfsolve import (
+    Criterion,
     PackageId,
+    Polarity,
     compute_closure,
     compute_out,
     full_scope,
     generate_instance,
+    make_document,
     parse_criteria,
     parse_document,
 )
@@ -178,3 +182,67 @@ def test_closure_is_deterministic(scenario_doc):
     first = compute_closure(scenario_doc, TRENDY)
     second = compute_closure(scenario_doc, TRENDY)
     assert first == second
+
+
+def _scanned_closure(doc, criteria):
+    """The closure with every criterion seed found by a scan of the allowed set."""
+    index = doc.index
+    allowed = full_scope(doc).closure
+    o_names = {p.name for p in index.installed}
+    seeds = {
+        (Criterion.NEW, Polarity.PLUS): lambda p: p.name not in o_names,
+        (Criterion.REMOVED, Polarity.MINUS): lambda p: p.name in o_names,
+        (Criterion.CHANGED, Polarity.PLUS): lambda p: p not in index.installed,
+        (Criterion.CHANGED, Polarity.MINUS): lambda p: p in index.installed,
+        (Criterion.NOT_UP_TO_DATE, Polarity.PLUS): lambda p: p.version < index.umax[p.name],
+        (Criterion.UNSAT_RECOMMENDS, Polarity.PLUS): lambda p: bool(index.by_id[p].recommends),
+    }
+    closure = set()
+    for clause in index.effective.install.clauses + index.effective.upgrade.clauses:
+        closure.update(index.providers(clause, allowed))
+    for sc in criteria.items:
+        condition = seeds.get((sc.criterion, sc.polarity))
+        if condition is not None:
+            closure.update(p for p in allowed if condition(p))
+    follow_recommends = criteria.polarity_of(Criterion.UNSAT_RECOMMENDS) is Polarity.MINUS
+    follow_newest = criteria.polarity_of(Criterion.NOT_UP_TO_DATE) is Polarity.MINUS
+    frontier = set(closure)
+    while frontier:
+        add = set()
+        for p in frontier:
+            desc = index.by_id[p]
+            clauses = desc.depends.clauses + (desc.recommends.clauses if follow_recommends else ())
+            for clause in clauses:
+                add.update(index.providers(clause, allowed))
+            if follow_newest and pid(p.name, index.umax[p.name]) in allowed:
+                add.add(pid(p.name, index.umax[p.name]))
+        frontier = add - closure
+        closure |= frontier
+    return closure
+
+
+def test_index_seeds_match_a_scan_of_the_universe(upgrade_heavy_docs):
+    # the installed-set seeds come from the index; every polarity of every
+    # criterion must keep the closure a scan of the allowed set gives
+    generated = [
+        generate_instance(seed, packages=40, installed_fraction=0.4, provides_density=0.5)
+        for seed in range(20)
+    ]
+    # fewer installed names, so that providers of an installed name that
+    # are not themselves of an installed name exist
+    sparse = []
+    for doc in upgrade_heavy_docs:
+        kept = [
+            dataclasses.replace(p, installed=p.installed and i % 3 == 0) for i, p in enumerate(doc)
+        ]
+        sparse.append(make_document(kept, doc.request))
+    orders = [f"{sign}{c.value}" for c in Criterion for sign in "-+"] + ["paranoid", "trendy"]
+    compared = 0
+    for doc in upgrade_heavy_docs + sparse + generated:
+        if not full_scope(doc).feasible:
+            continue
+        for order in orders:
+            criteria = parse_criteria(order)
+            assert compute_closure(doc, criteria).closure == _scanned_closure(doc, criteria)
+            compared += 1
+    assert compared > 400

@@ -19,8 +19,10 @@ from cudfsolve import (
     UnknownName,
     VersionBound,
     effective_request,
+    generate_instance,
     make_document,
     parse_document,
+    parser,
     render_document,
 )
 from cudfsolve.model import MAX_VERSION, TRUE_FORMULA, false_formula
@@ -47,6 +49,14 @@ def test_package_id_orders_by_name_then_version():
     ids = [PackageId("b", 1), PackageId("a", 2), PackageId("a", 10)]
     assert sorted(ids) == [PackageId("a", 2), PackageId("a", 10), PackageId("b", 1)]
     assert str(PackageId("a", 2)) == "a=2"
+    assert repr(PackageId("a", 2)) == "PackageId(name='a', version=2)"
+
+
+def test_package_id_is_the_plain_pair():
+    package = PackageId("a", 2)
+    assert package == ("a", 2) and hash(package) == hash(("a", 2))
+    assert package.name == "a" and package.version == 2
+    assert PackageId(name="a", version=2) == package
 
 
 def test_clause_requires_an_atom():
@@ -186,3 +196,29 @@ def test_the_cached_index_cannot_be_seen(scenario_text):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_deferred_formulas_cannot_be_seen(monkeypatch):
+    built = []
+    real = parser.parse_formula
+    monkeypatch.setattr(parser, "parse_formula", lambda text: built.append(text) or real(text))
+    for seed in range(20):
+        eager = generate_instance(seed, packages=30, recommends_density=0.5)
+        text = render_document(eager)
+        # hashing and comparing the parsed document builds its formulas
+        assert hash(parse_document(text)) == hash(eager)
+        assert parse_document(text) == eager and eager == parse_document(text)
+        assert make_document(eager.packages, eager.request) == parse_document(text)
+        for lazy, known in zip(parse_document(text), eager):
+            for prop in ("depends", "conflicts", "recommends"):
+                mine, theirs = getattr(lazy, prop), getattr(known, prop)
+                before = len(built)
+                assert bool(mine) == bool(theirs)  # without building
+                assert len(built) == before
+                assert str(mine) == str(theirs) and repr(mine) == repr(theirs)
+                assert len(built) == before + bool(theirs)  # built once, on first read
+                assert mine.clauses is mine.clauses and hash(mine) == hash(theirs)
+    assert built
+    text = "package: a\nversion: 1\ndepends: true!\nconflicts:\n\nrequest: \n"
+    (desc,) = parse_document(text).packages
+    assert desc.depends is TRUE_FORMULA and desc.conflicts is TRUE_FORMULA

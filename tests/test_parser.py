@@ -15,11 +15,12 @@ from cudfsolve import (
     make_document,
     parse_document,
     parse_formula,
+    parser,
     render_document,
     render_formula,
     render_solution,
 )
-from cudfsolve.model import TRUE_FORMULA, false_formula
+from cudfsolve.model import MAX_VERSION, TRUE_FORMULA, Formula, false_formula
 
 
 def test_parse_minimal_document(scenario_doc):
@@ -379,3 +380,65 @@ def test_parsed_documents_pass_make_document_unchanged():
         accepted += 1
         assert make_document(doc.packages, doc.request) == doc
     assert accepted > 1000 and rejected > 500
+
+
+# Values the up-front check must pass to parse_formula at once: every
+# one it accepts is built later, where no error can be reported.
+_EIGHTEEN, _NINETEEN, _TWENTY = "9" * 18, "1" + "0" * 18, "1" + "0" * 19
+_CHECK_CASES = [
+    ("a", True),
+    ("a >= 2 | b, c", True),
+    ("lib.so!=3|g++<1,-", True),
+    (f"a = {_EIGHTEEN}", True),
+    ("a = 07", False),
+    (f"a = {_NINETEEN}", False),
+    (f"a = {_TWENTY}", False),
+    ("a = 1" + "0" * 20, False),
+    (f"a < {MAX_VERSION}", False),
+    (f"a < {MAX_VERSION + 1}", False),
+    ("a\xa0|\u2003b", False),
+    ("a ,\x0bb", False),
+    ("true!", False),
+    ("false!", False),
+    ("a,", False),
+    ("a |", False),
+    ("a, b |", False),
+    ("a == 2", False),
+    ("a >= -1", False),
+]
+
+
+@pytest.mark.parametrize("value,accepted", _CHECK_CASES)
+def test_up_front_check_hand_cases(value, accepted):
+    assert (parser._CHECKED_RE.fullmatch(value) is not None) is accepted
+    text = f"package: a\nversion: 1\ndepends: {value}\n"
+    try:
+        expected = parse_formula(value)
+    except ParseError as error:
+        assert not accepted
+        got = err(text)
+        assert (got.kind, got.line, got.message) == (error.kind, 3, error.message)
+    else:
+        assert parse_document(text).packages[0].depends == expected
+
+
+def test_up_front_check_accepts_only_what_parses():
+    # the fuzz formulas, with versions of every length near the limits
+    # and whitespace the check leaves to parse_formula
+    rng = random.Random(11)
+    versions = [str(10**n) for n in range(16, 22)] + [str(MAX_VERSION), str(MAX_VERSION + 1)]
+    accepted = rejected = 0
+    for _ in range(6000):
+        value = _fuzz_formula(rng)
+        if rng.random() < 0.2:
+            value = value.replace("2", rng.choice(versions))
+        if rng.random() < 0.1:
+            value = value.replace(" ", rng.choice(["\t", "\xa0", "\u2003", "", "  "]))
+        if parser._CHECKED_RE.fullmatch(value) is None:
+            rejected += 1
+            continue
+        accepted += 1
+        eager = parse_formula(value)  # must not raise
+        assert eager.clauses and Formula.deferred(value) == eager
+        assert parse_formula(str(eager)) == eager
+    assert accepted > 2000 and rejected > 2000

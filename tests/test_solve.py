@@ -27,6 +27,8 @@ from cudfsolve import (
     model_stats,
     parse_criteria,
     parse_document,
+    parser,
+    render_document,
     solve,
     solve_document,
     validate_solution,
@@ -380,6 +382,34 @@ def test_library_entry_points_build_one_index(monkeypatch, scenario_doc, first):
     for call in calls if first is solve_document else reversed(calls):
         assert call() is not None
     assert [args[1] for args in built] == [doc]
+
+
+def test_a_solve_builds_only_the_formulas_of_its_closure(monkeypatch):
+    # parsing checks every formula but builds none of the ones the closure
+    # leaves out: a large universe costs what the solve reads of it
+    knobs = dict(installed_fraction=0, depends_density=0.3, install_requests=3, upgrade_requests=0)
+    eager = generate_instance(0, packages=4000, **knobs)
+    doc = parse_document(render_document(eager))
+    built = []
+    count_calls(monkeypatch, parser, "parse_formula", built)
+    outcome = solve_document(doc, PARANOID)
+    monkeypatch.undo()
+    assert outcome.status is Status.OPTIMAL
+    closure = compute_closure(doc, PARANOID).closure
+    formulas = [
+        formula
+        for desc in doc
+        for formula in (desc.depends, desc.conflicts, desc.recommends)
+        if formula
+    ]
+    in_closure = [
+        formula
+        for desc in doc
+        if desc.id in closure
+        for formula in (desc.depends, desc.conflicts, desc.recommends)
+        if formula
+    ]
+    assert 0 < len(built) <= len(in_closure) < len(formulas) / 20
 
 
 def test_model_stats(scenario_doc):
