@@ -20,7 +20,6 @@ from .errors import (
     BadCriteria,
     CudfError,
     DuplicatePackage,
-    InfeasibleInput,
     InvalidProvide,
     InvalidVersion,
     ScopeTooLarge,
@@ -86,7 +85,6 @@ __all__ = [
     "DuplicatePackage",
     "FactSet",
     "Formula",
-    "InfeasibleInput",
     "InvalidProvide",
     "InvalidVersion",
     "Keep",

@@ -19,7 +19,7 @@ from time import monotonic
 
 from .closure import compute_closure, full_scope
 from .criteria import parse_criteria
-from .errors import CudfError, InfeasibleInput, UnknownName
+from .errors import CudfError, UnknownName
 from .facts import generate, render_facts
 from .gen import generate_instance
 from .parser import parse_document, render_document, render_solution
@@ -162,16 +162,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     doc = parse_document(text, warn=lambda message: print(message, file=sys.stderr))
 
     if args.command == "solve":
-        try:
-            outcome = solve_document(
-                doc,
-                criteria,
-                limits=SolveLimits(wall_clock=args.timeout - (monotonic() - started)),
-                use_closure=not args.no_closure,
-            )
-        except InfeasibleInput:
-            _write(args.output, FAIL_LINE)
-            return 0
+        outcome = solve_document(
+            doc,
+            criteria,
+            limits=SolveLimits(wall_clock=args.timeout - (monotonic() - started)),
+            use_closure=not args.no_closure,
+        )
         if outcome.solution is None:
             if outcome.status is Status.TIMED_OUT:
                 print("timed out; no solution found", file=sys.stderr)
@@ -200,12 +196,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     shrunk = full_scope(doc) if args.no_closure else compute_closure(doc, criteria)
 
     if args.command == "facts":
-        try:
-            facts = generate(doc, criteria, shrunk)
-        except InfeasibleInput:
-            _write(args.output, FAIL_LINE)
-            return 0
-        _write(args.output, render_facts(facts))
+        # the facts of an infeasible request ask for the empty set; the
+        # command answers it as `solve` would
+        text = render_facts(generate(doc, criteria, shrunk)) if shrunk.feasible else FAIL_LINE
+        _write(args.output, text)
         return 0
 
     assert args.command == "closure"

@@ -17,7 +17,8 @@ class DuplicatePackage(CudfError):
 
 
 class InvalidVersion(CudfError):
-    """A version is not a positive integer within the supported range."""
+    """A version is not a positive integer within the supported range, or
+    a package name is not one CUDF allows."""
 
 
 class InvalidProvide(CudfError):
@@ -31,10 +32,6 @@ class UnknownName(CudfError):
 
 class BadCriteria(CudfError):
     """An optimization criteria string could not be understood."""
-
-
-class InfeasibleInput(CudfError):
-    """The document has a request that no candidate set can satisfy."""
 
 
 class ScopeTooLarge(CudfError):

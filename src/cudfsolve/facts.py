@@ -16,7 +16,6 @@ from typing import Iterable, Mapping
 
 from .closure import ClosureResult
 from .criteria import CriteriaSeq, Criterion
-from .errors import InfeasibleInput
 from .model import CudfDocument, PackageId
 
 
@@ -57,10 +56,9 @@ def generate(doc: CudfDocument, criteria: CriteriaSeq, closure: ClosureResult) -
 
     Only closure members are described, except that the currently
     installed packages are always listed in full so the objective can
-    count what disappears.
+    count what disappears.  An infeasible closure keeps no package, so
+    its facts request the empty set, which no selection satisfies.
     """
-    if not closure.feasible:
-        raise InfeasibleInput("the request cannot be satisfied")
     index = doc.index
     scope = closure.closure
     ordered = [desc for desc in doc.packages if desc.id in scope]

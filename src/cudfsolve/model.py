@@ -16,6 +16,7 @@ kinds of formula apart.
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,17 +51,17 @@ class RelOp(enum.Enum):
     GE = ">="
 
     def holds(self, left: int, right: int) -> bool:
-        if self is RelOp.EQ:
-            return left == right
-        if self is RelOp.NEQ:
-            return left != right
-        if self is RelOp.LT:
-            return left < right
-        if self is RelOp.LE:
-            return left <= right
-        if self is RelOp.GT:
-            return left > right
-        return left >= right
+        return _COMPARE[self](left, right)
+
+
+_COMPARE = {
+    RelOp.EQ: operator.eq,
+    RelOp.NEQ: operator.ne,
+    RelOp.LT: operator.lt,
+    RelOp.LE: operator.le,
+    RelOp.GT: operator.gt,
+    RelOp.GE: operator.ge,
+}
 
 
 class PackageId(NamedTuple):

@@ -400,7 +400,7 @@ class Solver:
         self,
         *,
         assumptions: Sequence[int] = (),
-        max_conflicts: int | None = None,
+        conflict_limit: int | None = None,
         deadline: float | None = None,
     ) -> Result:
         """Search for a model in which every literal of ``assumptions`` holds.
@@ -410,9 +410,10 @@ class Solver:
         UNSAT with ``ok`` false means the formula itself is
         unsatisfiable.  When the assumptions equal the previous call's,
         the search continues from the current trail; otherwise it starts
-        from the root.  UNKNOWN once this call meets ``max_conflicts``
-        conflicts or ``deadline``, which is checked every 128 conflicts
-        and every 256 decisions.
+        from the root.  UNKNOWN once ``conflicts`` reaches
+        ``conflict_limit`` or the clock passes ``deadline``, which is
+        checked every 128 conflicts and every 256 decisions; both limits
+        are absolute, so they span every call.
         """
         if not self.ok:
             return Result.UNSAT
@@ -426,7 +427,6 @@ class Solver:
         restart_unit = 64
         luby_index = 1
         next_restart = self.conflicts + restart_unit * _luby(luby_index)
-        give_up = None if max_conflicts is None else self.conflicts + max_conflicts
         trail, trail_lim, lval = self.trail, self.trail_lim, self.lval
 
         while True:
@@ -440,7 +440,7 @@ class Solver:
                 self._backtrack(backjump)
                 self._learn(learnt)
                 self.var_inc *= _DECAY
-                if give_up is not None and self.conflicts >= give_up:
+                if conflict_limit is not None and self.conflicts >= conflict_limit:
                     return Result.UNKNOWN
                 if deadline is not None and self.conflicts % 128 == 0:
                     if monotonic() > deadline:

@@ -42,7 +42,7 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveLimits:
-    max_steps: int | None = None  # conflict budget
+    max_steps: int | None = None  # conflicts the whole solve may meet
     wall_clock: float | None = 300.0
 
 
@@ -229,22 +229,18 @@ def solve(
     deadline = (
         monotonic() + limits.wall_clock if limits.wall_clock is not None else None
     )
-    remaining = limits.max_steps
     best: frozenset[PackageId] | None = None
     counts: list[int] = []
 
     def search(*assumptions: int) -> Result:
         """Solve within what is left of the budget; a model becomes the incumbent."""
-        nonlocal remaining, best, counts
-        before = solver.conflicts
+        nonlocal best, counts
         try:
             result = solver.solve(
-                assumptions=assumptions, max_conflicts=remaining, deadline=deadline
+                assumptions=assumptions, conflict_limit=limits.max_steps, deadline=deadline
             )
         except KeyboardInterrupt:  # Ctrl-C spends the budget: keep the incumbent
             return Result.UNKNOWN
-        if remaining is not None:
-            remaining = max(remaining - (solver.conflicts - before), 0)
         if result is Result.SAT:
             model = solver.model()
             best = frozenset(p for p, var in invar.items() if model[var])

@@ -15,7 +15,6 @@ import time
 import pytest
 
 from cudfsolve import (
-    InfeasibleInput,
     PackageId,
     ParseError,
     Status,
@@ -168,12 +167,9 @@ def corpus_answers(corpus):
     answers = {}
     for seed, doc in corpus:
         for criteria in (PARANOID, TRENDY):
-            try:
-                outcome = solve_document(doc, criteria)
-                assert outcome.status is not Status.TIMED_OUT
-                answers[seed, str(criteria)] = outcome.solution
-            except InfeasibleInput:
-                answers[seed, str(criteria)] = None
+            outcome = solve_document(doc, criteria)
+            assert outcome.status is not Status.TIMED_OUT
+            answers[seed, str(criteria)] = outcome.solution
     return answers
 
 
@@ -207,11 +203,7 @@ def test_criterion_4_answers_unchanged_without_closure(corpus, corpus_answers):
     for seed, doc in corpus:
         for criteria in (PARANOID, TRENDY):
             with_closure = corpus_answers[seed, str(criteria)]
-            try:
-                outcome = solve_document(doc, criteria, use_closure=False)
-                without = outcome.solution
-            except InfeasibleInput:
-                without = None
+            without = solve_document(doc, criteria, use_closure=False).solution
             if (with_closure is None) != (without is None):
                 disagreements.append((seed, str(criteria), "FAIL status differs"))
             elif with_closure is not None:

@@ -6,9 +6,9 @@ from test_acceptance import _corpus_knobs
 
 from cudfsolve import (
     FactSet,
-    InfeasibleInput,
     PackageId,
     SetId,
+    Status,
     compute_closure,
     evaluate,
     full_scope,
@@ -186,10 +186,17 @@ def test_equal_recommendation_clauses_merge_with_multiplicity():
     }
 
 
-def test_infeasible_closure_refuses_to_generate():
+def test_infeasible_closure_generates_an_empty_request():
+    # as aspcud encodes it: a request over the empty set, which no
+    # selection satisfies
     doc = parse_document("package: a\nversion: 1\n\nrequest: \ninstall: ghost\n")
-    with pytest.raises(InfeasibleInput):
-        generate_facts(doc, PARANOID, compute_closure(doc, PARANOID))
+    closure = compute_closure(doc, PARANOID)
+    assert not closure.feasible
+    facts = generate_facts(doc, PARANOID, closure)
+    lines = render_facts(facts).splitlines()
+    assert "request(s1)." in lines
+    assert not [line for line in lines if line.startswith("satisfies(")]
+    assert solve(facts) == (Status.UNSATISFIABLE, None)
 
 
 def test_facts_shrink_with_the_closure(scenario_doc):
@@ -275,23 +282,24 @@ def read_facts(text):
 def test_printed_facts_are_the_whole_problem(upgrade_heavy_docs):
     # the text `cudfsolve facts` prints reads back into a fact set that
     # prints the same and solves to an answer just as good; about half
-    # the documents are infeasible before any fact is made
+    # the documents are infeasible by their closure alone, and their
+    # facts, a request over the empty set, read back unsatisfiable
     docs = [generate_instance(seed, **_corpus_knobs(seed)) for seed in range(260)]
     docs += upgrade_heavy_docs + [_upgrade_heavy(seed) for seed in range(40, 400)]
-    printed, solved = set(), set()
+    solved, infeasible = set(), set()
     for number, doc in enumerate(docs):
         for criteria in (PARANOID, TRENDY):
-            try:
-                facts = generate_facts(doc, criteria, compute_closure(doc, criteria))
-            except InfeasibleInput:
-                continue
+            closure = compute_closure(doc, criteria)
+            facts = generate_facts(doc, criteria, closure)
             text = render_facts(facts)
             parsed = read_facts(text)
             assert render_facts(parsed) == text
-            printed.add(number)
             status, selection = solve(facts)
             parsed_status, parsed_selection = solve(parsed)
             assert parsed_status is status
+            if not closure.feasible:
+                assert status is Status.UNSATISFIABLE
+                infeasible.add(number)
             if selection is None:
                 assert parsed_selection is None
                 continue
@@ -301,4 +309,5 @@ def test_printed_facts_are_the_whole_problem(upgrade_heavy_docs):
                 == evaluate(doc, selection, criteria).key()
             )
             solved.add(number)
-    assert len(printed) >= 300 and len(solved) >= 200
+    # measured 339 documents infeasible under some criteria
+    assert len(solved) >= 200 and len(infeasible) >= 300

@@ -156,10 +156,10 @@ def test_conflict_budget_returns_unknown():
         for p1 in range(5):
             for p2 in range(p1 + 1, 5):
                 s.add_clause([-(p1 * 4 + h + 1), -(p2 * 4 + h + 1)])
-    assert s.solve(max_conflicts=1) is Result.UNKNOWN
+    assert s.solve(conflict_limit=1) is Result.UNKNOWN
     assert s.conflicts == 1
-    # the budget counts the conflicts of this call only
-    assert s.solve(max_conflicts=5) is Result.UNKNOWN
+    # the limit counts every conflict the solver has met, not this call's
+    assert s.solve(conflict_limit=6) is Result.UNKNOWN
     assert s.conflicts == 6
 
 

@@ -11,7 +11,6 @@ from cudfsolve import (
     CriteriaSeq,
     CudfError,
     DocIndex,
-    InfeasibleInput,
     PackageId,
     ParseError,
     ScopeTooLarge,
@@ -91,10 +90,23 @@ def test_unsatisfiable_document():
     assert brute_force(doc, PARANOID) is None
 
 
-def test_infeasible_document_is_detected_before_search():
+def test_infeasible_document_is_detected_before_search(monkeypatch):
+    # the closure proves it: the facts request the empty set, and the
+    # solver answers UNSAT at the root without a conflict or a decision
     doc = parse_document("package: a\nversion: 1\n\nrequest: \ninstall: ghost\n")
-    with pytest.raises(InfeasibleInput):
-        solve_document(doc, PARANOID)
+    searched = []
+    original = Solver.solve
+
+    def recording(self, **kwargs):
+        result = original(self, **kwargs)
+        searched.append((self.conflicts, self.decisions))
+        return result
+
+    monkeypatch.setattr(Solver, "solve", recording)
+    outcome = solve_document(doc, PARANOID)
+    assert outcome.status is Status.UNSATISFIABLE
+    assert outcome.solution is None
+    assert searched == [(0, 0)]
 
 
 def test_solutions_match_brute_force_on_small_instances():
@@ -109,11 +121,8 @@ def test_solutions_match_brute_force_on_small_instances():
             remove_requests=(seed // 2) % 2,
         )
         for criteria in (PARANOID, TRENDY):
-            try:
-                outcome = solve_document(doc, criteria)
-            except InfeasibleInput:
-                outcome = None
-            if outcome is None or outcome.solution is None:
+            outcome = solve_document(doc, criteria)
+            if outcome.solution is None:
                 got = None
             else:
                 got = outcome.solution.objective.key()
@@ -131,10 +140,7 @@ def test_maximized_criteria_match_brute_force():
     checked = 0
     for seed in range(15):
         doc = generate_instance(4000 + seed, packages=3 + seed % 6, installed_fraction=0.5)
-        try:
-            outcome = solve_document(doc, criteria)
-        except InfeasibleInput:
-            continue
+        outcome = solve_document(doc, criteria)
         oracle = brute_force(doc, criteria)
         got = None if outcome.solution is None else outcome.solution.objective.key()
         assert got == (None if oracle is None else oracle.objective.key()), seed
@@ -145,12 +151,7 @@ def test_maximized_criteria_match_brute_force():
 def test_closure_does_not_change_the_answer():
     for seed in range(20):
         doc = generate_instance(2000 + seed, packages=20, installed_fraction=0.4)
-        try:
-            narrow = solve_document(doc, TRENDY, use_closure=True)
-        except InfeasibleInput:
-            with pytest.raises(InfeasibleInput):
-                solve_document(doc, TRENDY, use_closure=False)
-            continue
+        narrow = solve_document(doc, TRENDY, use_closure=True)
         wide = solve_document(doc, TRENDY, use_closure=False)
         assert narrow.status is wide.status
         if narrow.solution is None:
@@ -164,10 +165,7 @@ def test_reported_objective_agrees_with_the_referee():
     for seed in range(12):
         doc = generate_instance(3000 + seed, packages=15, installed_fraction=0.5)
         for criteria in (PARANOID, TRENDY):
-            try:
-                outcome = solve_document(doc, criteria)
-            except InfeasibleInput:
-                continue
+            outcome = solve_document(doc, criteria)
             if outcome.solution is not None:
                 installed = outcome.solution.installed
                 assert outcome.solution.objective == evaluate(doc, installed, criteria)
@@ -461,10 +459,7 @@ def test_solver_matches_the_oracle_up_to_its_size_cap():
     for seed in range(32):
         doc = generate_instance(seed, **dict(_corpus_knobs(seed), packages=13 + seed % 8))
         for criteria in (PARANOID, TRENDY):
-            try:
-                solution = solve_document(doc, criteria).solution
-            except InfeasibleInput:
-                solution = None
+            solution = solve_document(doc, criteria).solution
             oracle = brute_force(doc, criteria)
             got = None if solution is None else solution.objective.key()
             expected = None if oracle is None else oracle.objective.key()
@@ -494,10 +489,7 @@ def test_upgrades_that_reach_a_provide_match_the_oracle():
             expected = None if oracle is None else oracle.objective.key()
             feasible += criteria is PARANOID and oracle is not None
             for use_closure in (True, False):
-                try:
-                    solution = solve_document(doc, criteria, use_closure=use_closure).solution
-                except InfeasibleInput:
-                    solution = None
+                solution = solve_document(doc, criteria, use_closure=use_closure).solution
                 if solution is not None:
                     assert validate_solution(doc, solution.installed).ok
                 got = None if solution is None else solution.objective.key()
