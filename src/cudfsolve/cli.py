@@ -6,8 +6,9 @@ the single line ``FAIL``), ``facts`` (the compiled logic facts),
 solution against a document) and ``gen`` (seeded random instances).
 Results go to stdout or ``--output``; diagnostics go to stderr.  Exit
 codes: 0 for answers (``FAIL`` is an answer), 1 for a failed
-validation, 2 for usage, parse or I/O errors, 130 for an interrupt
-outside the search (an interrupted search writes its best answer).
+validation (a ``FAIL`` answer leaves no selection to check), 2 for
+usage, parse or I/O errors, 130 for an interrupt outside the search
+(an interrupted search writes its best answer).
 """
 
 from __future__ import annotations
@@ -180,7 +181,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "validate":
-        solution_doc = parse_document(_read_input(args.solution))
+        answer = _read_input(args.solution)
+        if answer.strip() == "FAIL":
+            _write(args.output, "FAIL: no selection to check\n")
+            return 1
+        solution_doc = parse_document(answer)
         selection = solution_doc.installed_ids()
         try:
             report = validate_solution(doc, selection)

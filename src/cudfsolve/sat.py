@@ -10,9 +10,13 @@ Each criterion level needs one bound: its guard literal weighs 1 while
 the guard is assumed false, and :meth:`Solver.tighten` lowers the
 bound in place after every model, keeping the part of the trail that
 honours it, so the next search under the same assumptions continues
-from there instead of from the root.  Everything is deterministic —
-ties in the decision heuristic break on variable index — so repeated
-runs produce identical models.
+from there instead of from the root.  A search may also be handed a
+list of preferred literals: after the assumptions, each free one is
+decided true, in order, before any decision by activity and saved
+phase.  Unlike assumptions they are ordinary decisions, so a conflict
+overrides a preference and the clause it learns keeps it overridden.
+Everything is deterministic — ties in the decision heuristic break on
+variable index — so repeated runs produce identical models.
 
 Literals are signed integers (variable ``v`` appears as ``v`` and
 ``-v``); variables are numbered from 1.  Per-literal arrays are
@@ -79,6 +83,7 @@ class Solver:
         self.conflicts = 0
         self.decisions = 0
         self._assumptions: tuple[int, ...] = ()
+        self._prefer_pos = 0  # literals of ``prefer`` before it are assigned
 
     # ------------------------------------------------------------------
     # building
@@ -233,6 +238,7 @@ class Solver:
                 heappush(heap, (-activity[v], v))
         del trail[until:]
         self.qhead = min(self.qhead, until)
+        self._prefer_pos = 0
 
     # ------------------------------------------------------------------
     # propagation
@@ -400,6 +406,7 @@ class Solver:
         self,
         *,
         assumptions: Sequence[int] = (),
+        prefer: Sequence[int] = (),
         conflict_limit: int | None = None,
         deadline: float | None = None,
     ) -> Result:
@@ -410,10 +417,13 @@ class Solver:
         UNSAT with ``ok`` false means the formula itself is
         unsatisfiable.  When the assumptions equal the previous call's,
         the search continues from the current trail; otherwise it starts
-        from the root.  UNKNOWN once ``conflicts`` reaches
-        ``conflict_limit`` or the clock passes ``deadline``, which is
-        checked every 128 conflicts and every 256 decisions; both limits
-        are absolute, so they span every call.
+        from the root.  After the assumptions, and before any decision
+        by activity, the first free literal of ``prefer`` is decided
+        true.  These are decisions, not assumptions: a conflict can flip
+        one, and the clause it learns keeps it flipped.  UNKNOWN once
+        ``conflicts`` reaches ``conflict_limit`` or the clock passes
+        ``deadline``, which is checked every 128 conflicts and every 256
+        decisions; both limits are absolute, so they span every call.
         """
         if not self.ok:
             return Result.UNSAT
@@ -423,6 +433,7 @@ class Solver:
         if assumptions != self._assumptions:
             self._backtrack(0)
             self._assumptions = assumptions
+        self._prefer_pos = 0
 
         restart_unit = 64
         luby_index = 1
@@ -459,12 +470,20 @@ class Solver:
                 if lval[lit] == 0:
                     self._enqueue(lit, None)
                 continue
-            variable = self._pick_var()
-            if variable is None:
-                return Result.SAT
+            pos = self._prefer_pos
+            while pos < len(prefer) and lval[prefer[pos]] != 0:
+                pos += 1
+            self._prefer_pos = pos
+            if pos < len(prefer):
+                lit = prefer[pos]
+            else:
+                variable = self._pick_var()
+                if variable is None:
+                    return Result.SAT
+                lit = self.saved[variable]
             self.decisions += 1
             trail_lim.append(len(trail))
-            self._enqueue(self.saved[variable], None)
+            self._enqueue(lit, None)
             if deadline is not None and self.decisions % 256 == 0:
                 if monotonic() > deadline:
                     return Result.UNKNOWN

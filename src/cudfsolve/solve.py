@@ -13,10 +13,14 @@ searched under the assumption that the guard is false, a model must
 beat the incumbent, and the bound is tightened in place to each
 model's count.  When no better model exists the level's optimum is
 proven; fixing the guard true leaves the same bound holding the level
-there while the next levels improve.  :func:`solve_document`, which
-holds the document, checks the chosen selection with the referee and
-measures its objective.  For tiny universes :func:`brute_force` grinds
-through every subset and is the final word in disagreements.
+there while the next levels improve.  Every search first decides the
+objective literals false, most significant level first, so the first
+model is already close to optimal and the descent takes few steps;
+they are preferences, not assumptions, and a conflict flips any of
+them that cannot hold.  :func:`solve_document`, which holds the
+document, checks the chosen selection with the referee and measures
+its objective.  For tiny universes :func:`brute_force` grinds through
+every subset and is the final word in disagreements.
 """
 
 from __future__ import annotations
@@ -237,7 +241,10 @@ def solve(
         nonlocal best, counts
         try:
             result = solver.solve(
-                assumptions=assumptions, conflict_limit=limits.max_steps, deadline=deadline
+                assumptions=assumptions,
+                prefer=prefer,
+                conflict_limit=limits.max_steps,
+                deadline=deadline,
             )
         except KeyboardInterrupt:  # Ctrl-C spends the budget: keep the incumbent
             return Result.UNKNOWN
@@ -251,6 +258,7 @@ def solve(
         return result
 
     solver, invar, terms = _build_model(facts)
+    prefer = [-lit for lits, _ in terms for lit in lits]  # every objective literal off
     result = search()
     if result is not Result.SAT:
         return (Status.UNSATISFIABLE if result is Result.UNSAT else Status.TIMED_OUT), None

@@ -195,6 +195,17 @@ def test_validate_rejects_unknown_packages(capsys, tmp_path, scenario_path):
     assert out.startswith("unknown package in solution")
 
 
+def test_validate_reads_a_fail_answer(capsys, tmp_path):
+    # the FAIL that `solve -o` writes for an unsatisfiable request is read,
+    # not rejected as a syntax error, and leaves nothing to validate
+    path, answer = tmp_path / "ghost.cudf", tmp_path / "answer.cudf"
+    path.write_text(INFEASIBLE)
+    assert run_cli(capsys, "solve", str(path), "-o", str(answer)) == (0, "", "")
+    assert answer.read_text() == "FAIL\n"
+    code, out, err = run_cli(capsys, "validate", str(path), str(answer))
+    assert (code, out, err) == (1, "FAIL: no selection to check\n", "")
+
+
 def test_validate_takes_no_criteria(capsys, tmp_path, scenario_path):
     answer = tmp_path / "answer.cudf"
     assert run_cli(capsys, "solve", scenario_path, "-o", str(answer))[0] == 0

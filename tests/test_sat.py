@@ -56,15 +56,18 @@ def test_simple_backtracking():
 
 
 def test_pigeonhole_is_unsat():
-    # three pigeons, two holes: var (p, h) = p * 2 + h + 1
-    s = fresh(6)
-    for p in range(3):
-        s.add_clause([p * 2 + 1, p * 2 + 2])
-    for h in range(2):
-        for p1 in range(3):
-            for p2 in range(p1 + 1, 3):
-                s.add_clause([-(p1 * 2 + h + 1), -(p2 * 2 + h + 1)])
-    assert s.solve() is Result.UNSAT
+    # three pigeons, two holes: var (p, h) = p * 2 + h + 1; preferred
+    # literals are decisions, so no list of them can decide a model into being
+    for prefer in ((), [1, 3, 5], [-2, -4, -6, 1], [-6, -5, -4, -3, -2, -1]):
+        s = fresh(6)
+        for p in range(3):
+            s.add_clause([p * 2 + 1, p * 2 + 2])
+        for h in range(2):
+            for p1 in range(3):
+                for p2 in range(p1 + 1, 3):
+                    s.add_clause([-(p1 * 2 + h + 1), -(p2 * 2 + h + 1)])
+        assert s.solve(prefer=prefer) is Result.UNSAT
+        assert not s.ok
 
 
 def test_tautology_and_duplicates_are_harmless():
@@ -130,6 +133,41 @@ def test_phase_hint_steers_the_first_model():
     s.add_clause([a, b])
     assert s.solve() is Result.SAT
     assert s.model()[a] and not s.model()[b]
+
+
+def test_preferred_literals_are_decided_first_in_order():
+    # every variable's saved phase says true, and clause [-1, 2] makes 1
+    # imply 2; the preferred literals still come first, with their signs,
+    # each as a decision of its own, and the free rest follow the phase
+    s = Solver()
+    for _ in range(5):
+        s.new_var(phase=True)
+    s.add_clause([-1, 2])
+    assert s.solve(prefer=[-3, 1, -5]) is Result.SAT
+    assert s.trail == [-3, 1, 2, -5, 4]
+    assert s.decisions == 4
+    # a preferred literal that propagation already assigned is passed over
+    s = Solver()
+    for _ in range(3):
+        s.new_var(phase=True)
+    s.add_clause([-1, -2])
+    assert s.solve(prefer=[1, 2, -3]) is Result.SAT
+    assert s.trail == [1, -2, -3]
+
+
+def test_a_preferred_literal_that_cannot_hold_is_flipped():
+    # 1 breaks a clause either way 2 goes: the conflict flips the decision,
+    # the learned clause keeps it flipped on every later call, and the
+    # backjump sends the scan back to the first preferred literal, 3
+    s = fresh(4)
+    s.add_clause([-1, 2])
+    s.add_clause([-1, -2])
+    assert s.solve(prefer=[3, 1, 4]) is Result.SAT
+    assert s.conflicts == 1
+    assert s.trail == [-1, 3, 4, 2]
+    s.add_clause([2, 3, 4])  # back to the root: every decision is made again
+    assert s.solve(prefer=[3, 1, 4]) is Result.SAT
+    assert s.conflicts == 1 and s.trail == [-1, 3, 4, 2]
 
 
 def test_models_are_reproducible():
@@ -337,14 +375,22 @@ def test_incremental_bounds_agree_with_enumeration(monkeypatch, rescale_limit):
     # the optimizer does, searched under the assumption that its guard is
     # false: back to back under the same assumptions the trail is kept.
     # A low rescale limit makes every solver rescale its activities early.
+    # Every odd round decides a random list of preferred literals first, as
+    # the optimizer prefers its objective literals false; that list comes
+    # from a stream of its own.
     monkeypatch.setattr("cudfsolve.sat._RESCALE_LIMIT", rescale_limit)
     rng = random.Random(5150)
+    pick = random.Random(6502)
     guarded_unsat = tightened = 0
     for round_number in range(400):
         n = rng.randint(3, 7)
         s = Solver()
         for _ in range(n):
             s.new_var(phase=rng.random() < 0.5)
+        prefer = []
+        if round_number % 2:
+            chosen = pick.sample(range(1, n + 1), pick.randint(1, n))
+            prefer = [v if pick.random() < 0.5 else -v for v in chosen]
         clauses, atmosts = [], []
         for _ in range(rng.randint(1, n)):
             chosen = rng.sample(range(1, n + 1), rng.randint(1, 3))
@@ -384,7 +430,7 @@ def test_incremental_bounds_agree_with_enumeration(monkeypatch, rescale_limit):
             if s.ok:
                 assert_bound_propagated(s, *atmosts[guarded if assumptions else -1])
             expected = brute_sat(s.num_vars, clauses + [[a] for a in assumptions], atmosts)
-            result = s.solve(assumptions=assumptions)
+            result = s.solve(assumptions=assumptions, prefer=prefer)
             assert (result is Result.SAT) == expected, (round_number, step)
             model = s.model() if result is Result.SAT else None
             if model is not None:
@@ -399,7 +445,7 @@ def test_incremental_bounds_agree_with_enumeration(monkeypatch, rescale_limit):
             s.add_clause([guard])
             guard = None
             expected = brute_sat(s.num_vars, clauses, atmosts)
-            result = s.solve()
+            result = s.solve(prefer=prefer)
             assert (result is Result.SAT) == expected, (round_number, step)
             if result is not Result.SAT:
                 break

@@ -331,14 +331,15 @@ def test_one_model_build_per_solve(monkeypatch, scenario_doc):
 
 def test_one_bound_per_level(monkeypatch):
     # each criterion level adds one bound and lowers it in place after
-    # every model, however many bound steps the level takes
+    # every model, however many bound steps the level takes; on this
+    # document some level still steps past its first model
     bounds, tightenings = [], []
     count_calls(monkeypatch, Solver, "add_atmost", bounds)
     count_calls(monkeypatch, Solver, "tighten", tightenings)
-    doc = generate_instance(7, packages=120, installed_fraction=0.5)
+    doc = generate_instance(0, packages=300, installed_fraction=0.5)
     assert solve_document(doc, TRENDY).status is Status.OPTIMAL
     assert len(bounds) == len(TRENDY)
-    assert len(tightenings) > 2 * len(TRENDY)
+    assert len(tightenings) > len(bounds)
 
 
 def test_preprocessing_counts_against_the_wall_clock(monkeypatch, scenario_doc):
