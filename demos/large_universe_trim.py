@@ -8,7 +8,7 @@ on a handful of generated instances.
 
 import time
 
-from cudfsolve import PARANOID, build_problem, compute_closure, full_scope, generate_instance, model_stats
+from cudfsolve import PARANOID, compute_closure, full_scope, generate_facts, generate_instance, model_stats
 
 print(f"{'seed':>4}  {'kept':>9}  {'vars':>13}  {'clauses':>15}  {'trim time':>9}")
 for seed in range(8):
@@ -30,8 +30,8 @@ for seed in range(8):
         print(f"{seed:>4}  cannot be satisfied at all, nothing to solve")
         continue
 
-    small = model_stats(build_problem(doc, PARANOID, trimmed))
-    big = model_stats(build_problem(doc, PARANOID, full_scope(doc)))
+    small = model_stats(generate_facts(doc, PARANOID, trimmed))
+    big = model_stats(generate_facts(doc, PARANOID, full_scope(doc)))
     print(
         f"{seed:>4}"
         f"  {len(trimmed.closure):>4}/1000"

@@ -64,9 +64,8 @@ from .solve import (
     SolveOutcome,
     Status,
     brute_force,
-    build_problem,
     model_stats,
-    solve,
+    solve as solve_facts,
     solve_document,
 )
 
@@ -109,7 +108,6 @@ __all__ = [
     "ValidationReport",
     "VersionBound",
     "brute_force",
-    "build_problem",
     "compute_closure",
     "compute_out",
     "compute_sets",
@@ -127,7 +125,7 @@ __all__ = [
     "render_facts",
     "render_formula",
     "render_solution",
-    "solve",
     "solve_document",
+    "solve_facts",
     "validate_solution",
 ]

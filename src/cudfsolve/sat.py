@@ -8,15 +8,14 @@ searches, and :meth:`Solver.solve` takes assumptions, so one live
 solver serves a whole optimization with its learned clauses kept.
 Each criterion level needs one bound: its guard literal weighs 1 while
 the guard is assumed false, and :meth:`Solver.tighten` lowers the
-bound in place after every model, keeping the part of the trail that
-honours it, so the next search under the same assumptions continues
-from there instead of from the root.  A search may also be handed a
-list of preferred literals: after the assumptions, each free one is
-decided true, in order, before any decision by activity and saved
-phase.  Unlike assumptions they are ordinary decisions, so a conflict
-overrides a preference and the clause it learns keeps it overridden.
-Everything is deterministic — ties in the decision heuristic break on
-variable index — so repeated runs produce identical models.
+bound in place, at the root, after every model.  Every search starts
+from the root and decides its assumptions first, then each free
+literal of a list of preferred ones, in order, before any decision by
+activity and saved phase.  Unlike assumptions these are ordinary
+decisions, so a conflict overrides a preference and the clause it
+learns keeps it overridden.  Everything is deterministic — ties in the
+decision heuristic break on variable index — so repeated runs produce
+identical models.
 
 Literals are signed integers (variable ``v`` appears as ``v`` and
 ``-v``); variables are numbered from 1.  Per-literal arrays are
@@ -82,7 +81,6 @@ class Solver:
         self.heap: list[tuple[float, int]] = []
         self.conflicts = 0
         self.decisions = 0
-        self._assumptions: tuple[int, ...] = ()
         self._prefer_pos = 0  # literals of ``prefer`` before it are assigned
 
     # ------------------------------------------------------------------
@@ -148,11 +146,10 @@ class Solver:
     def add_atmost(self, lits: Sequence[int], weights: Sequence[int], bound: int) -> AtMost:
         """Require the true literals among ``lits`` to weigh at most ``bound``.
 
-        Valid before search or between searches.  Starts from the root,
-        merges duplicate literals and returns the constraint, whose
-        bound :meth:`tighten` can lower later.
+        Valid before search or between searches.  Merges duplicate
+        literals and returns the constraint, whose bound :meth:`tighten`
+        can lower later.
         """
-        self._backtrack(0)
         merged: dict[int, int] = {}
         for lit, weight in zip(lits, weights):
             merged[lit] = merged.get(lit, 0) + weight
@@ -165,38 +162,24 @@ class Solver:
         return constraint
 
     def tighten(self, constraint: AtMost, bound: int) -> None:
-        """Lower the bound of ``constraint`` to ``bound`` in place.
+        """Lower the bound of ``constraint`` to ``bound`` in place, at the root.
 
         Valid between searches; learned clauses stay implied, since the
-        constraint only gets stronger.  The assignment is kept where it
-        honours the bound: when it does not, the solver backtracks to
-        just below the level at which the true literals first weigh too
-        much.  The literals that no longer fit are then enqueued false
-        with the constraint as their reason; at the root that rules out
-        every literal heavier than the bound, and a bound the root
-        already breaks makes the formula unsatisfiable.
+        constraint only gets stronger.  A bound the root assignment
+        already breaks makes the formula unsatisfiable; otherwise every
+        free literal heavier than the slack is enqueued false at the
+        root, with the constraint as its reason.
         """
+        self._backtrack(0)
         constraint.bound = bound
-        lval, level = self.lval, self.level
-        if constraint.true_weight > bound:
-            running = 0
-            for lit_level, weight in sorted(
-                (level[abs(lit)], weight)
-                for lit, weight in zip(constraint.lits, constraint.weights)
-                if lval[lit] == 1
-            ):
-                running += weight
-                if running > bound:
-                    break
-            if lit_level == 0:
-                self.ok = False
-                return
-            self._backtrack(lit_level - 1)
         slack = bound - constraint.true_weight
+        if slack < 0:
+            self.ok = False
+            return
         for lit, weight in zip(constraint.lits, constraint.weights):
             if weight <= slack:
                 break
-            if lval[lit] == 0:
+            if self.lval[lit] == 0:
                 self._enqueue(-lit, constraint)
 
     # ------------------------------------------------------------------
@@ -412,12 +395,10 @@ class Solver:
     ) -> Result:
         """Search for a model in which every literal of ``assumptions`` holds.
 
-        The assumptions are decided first, at levels 1, 2, ...  UNSAT
-        under assumptions leaves the solver usable (``ok`` stays true);
-        UNSAT with ``ok`` false means the formula itself is
-        unsatisfiable.  When the assumptions equal the previous call's,
-        the search continues from the current trail; otherwise it starts
-        from the root.  After the assumptions, and before any decision
+        Every search starts from the root and decides the assumptions
+        first, at levels 1, 2, ...  UNSAT under assumptions leaves the
+        solver usable (``ok`` stays true); UNSAT with ``ok`` false means
+        the formula itself is unsatisfiable.  Then, before any decision
         by activity, the first free literal of ``prefer`` is decided
         true.  These are decisions, not assumptions: a conflict can flip
         one, and the clause it learns keeps it flipped.  UNKNOWN once
@@ -429,10 +410,7 @@ class Solver:
             return Result.UNSAT
         if deadline is not None and monotonic() > deadline:
             return Result.UNKNOWN
-        assumptions = tuple(assumptions)
-        if assumptions != self._assumptions:
-            self._backtrack(0)
-            self._assumptions = assumptions
+        self._backtrack(0)
         self._prefer_pos = 0
 
         restart_unit = 64

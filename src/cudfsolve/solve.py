@@ -62,8 +62,8 @@ class SolveOutcome:
     solution: Solution | None = None
 
 
-#: The solver reads the fact set itself, so compiling a problem is
-#: generating its facts; the older name stays public.
+#: Not public: ``perfbench/tracing.py`` wraps this name, so it stays
+#: until the tracer stops wrapping it.
 build_problem = generate
 
 

@@ -19,7 +19,6 @@ from cudfsolve import (
     ParseError,
     Status,
     brute_force,
-    build_problem,
     compute_closure,
     full_scope,
     generate_facts,
@@ -249,8 +248,8 @@ def test_criterion_5_closure_shrinks_large_instances():
             continue
         wide = full_scope(doc)
         size_ratios.append(len(narrow.closure) / len(doc.packages))
-        narrow_vars = model_stats(build_problem(doc, PARANOID, narrow))["variables"]
-        wide_vars = model_stats(build_problem(doc, PARANOID, wide))["variables"]
+        narrow_vars = model_stats(generate_facts(doc, PARANOID, narrow))["variables"]
+        wide_vars = model_stats(generate_facts(doc, PARANOID, wide))["variables"]
         variable_ratios.append(wide_vars / narrow_vars)
 
     assert len(size_ratios) >= 8, "too few feasible large instances to judge"

@@ -1,9 +1,9 @@
-import importlib
 import io
 import time
 
 import pytest
 
+import cudfsolve
 from cudfsolve import DocIndex, PackageId, generate_instance, parse_document, render_document
 from cudfsolve import cli
 from cudfsolve.cli import main
@@ -372,8 +372,7 @@ def test_an_interrupt_outside_the_search_exits_130(
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    owner = importlib.import_module(f"cudfsolve.{module}")
-    monkeypatch.setattr(owner, "compute_closure", interrupted)
+    monkeypatch.setattr(getattr(cudfsolve, module), "compute_closure", interrupted)
     try:
         code, out, err = run_cli(capsys, command, scenario_path)
     except KeyboardInterrupt:  # escaping, it would end the whole test session

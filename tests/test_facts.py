@@ -17,7 +17,7 @@ from cudfsolve import (
     parse_criteria,
     parse_document,
     render_facts,
-    solve,
+    solve_facts,
     validate_solution,
 )
 
@@ -196,7 +196,7 @@ def test_infeasible_closure_generates_an_empty_request():
     lines = render_facts(facts).splitlines()
     assert "request(s1)." in lines
     assert not [line for line in lines if line.startswith("satisfies(")]
-    assert solve(facts) == (Status.UNSATISFIABLE, None)
+    assert solve_facts(facts) == (Status.UNSATISFIABLE, None)
 
 
 def test_facts_shrink_with_the_closure(scenario_doc):
@@ -294,8 +294,8 @@ def test_printed_facts_are_the_whole_problem(upgrade_heavy_docs):
             text = render_facts(facts)
             parsed = read_facts(text)
             assert render_facts(parsed) == text
-            status, selection = solve(facts)
-            parsed_status, parsed_selection = solve(parsed)
+            status, selection = solve_facts(facts)
+            parsed_status, parsed_selection = solve_facts(parsed)
             assert parsed_status is status
             if not closure.feasible:
                 assert status is Status.UNSATISFIABLE

@@ -227,42 +227,44 @@ def test_clause_added_after_a_model_is_honoured():
     assert s.solve() is Result.UNSAT
 
 
-def test_tighten_keeps_the_trail_that_honours_the_bound():
+def test_tighten_returns_to_the_root():
     s = Solver()
     xs = [s.new_var(phase=True) for _ in range(5)]
     bound = s.add_atmost(xs, [1] * 5, 5)
     assert s.solve() is Result.SAT
     assert s.trail == xs  # one decision per level, every literal true
-    kept = list(s.trail_lim)
-    s.tighten(bound, 5)
-    assert s.trail_lim == kept
-    decisions = s.decisions
-    assert s.solve() is Result.SAT
-    assert s.decisions == decisions  # the search resumed from the kept trail
-    # the running weight first passes 2 at level 3, so back to level 2,
-    # where the rest no longer fit and are enqueued false
     s.tighten(bound, 2)
-    assert s.trail_lim == kept[:2]
-    assert s.trail == xs[:2] + [-x for x in xs[2:]]
+    assert s.trail_lim == [] and s.trail == []  # each literal still fits alone
     assert s.solve() is Result.SAT
-    assert s.decisions == decisions
     assert s.model()[1:] == [True, True, False, False, False]
+    # a bound of 0 rules out every literal at the root
+    s.tighten(bound, 0)
+    assert s.trail_lim == []
+    assert s.trail == [-x for x in xs]
+    assert all(s.level[x] == 0 for x in xs)
+    assert s.solve() is Result.SAT
+    assert s.model()[1:] == [False] * 5
 
 
-def test_tighten_backtracks_to_just_below_the_breaking_level():
+def test_tighten_forces_the_literals_heavier_than_the_slack_at_the_root():
     s = Solver()
     guard = s.new_var()
     xs = [s.new_var(phase=True) for _ in range(5)]
     bound = s.add_atmost(xs + [-guard], [1, 1, 1, 3, 1, 1], 8)
     assert s.solve(assumptions=[-guard]) is Result.SAT
     assert s.trail == [-guard] + xs  # the assumption at level 1, then one per level
-    kept = list(s.trail_lim)
-    # the guard weighs 1 and x1..x3 bring it to 4; x4 at level 5 passes 5
+    # from the root the slack is 5, so even x4 fits; the search forces it
+    # off once the guard and x1..x2 weigh 3
     s.tighten(bound, 5)
-    assert s.trail_lim == kept[:4]
-    assert s.trail == [-guard] + xs[:3] + [-xs[3]]  # only x4 no longer fits
+    assert s.trail_lim == [] and s.trail == []
     assert s.solve(assumptions=[-guard]) is Result.SAT
     assert s.model()[2:] == [True, True, True, False, True]
+    # a slack of 2 leaves no room for x4 at all
+    s.tighten(bound, 2)
+    assert s.trail_lim == []
+    assert s.trail == [-xs[3]] and s.level[xs[3]] == 0
+    assert s.solve(assumptions=[-guard]) is Result.SAT
+    assert s.model()[2:] == [True, False, False, False, False]
 
 
 def test_expired_deadline_is_noticed_up_front():
@@ -373,7 +375,7 @@ def test_incremental_bounds_agree_with_enumeration(monkeypatch, rescale_limit):
     # one live solver, a weighted bound tightened between searches: two steps
     # add a bound for good, then two tighten one guarded bound in place, as
     # the optimizer does, searched under the assumption that its guard is
-    # false: back to back under the same assumptions the trail is kept.
+    # false; every search starts again from the root.
     # A low rescale limit makes every solver rescale its activities early.
     # Every odd round decides a random list of preferred literals first, as
     # the optimizer prefers its objective literals false; that list comes

@@ -1,4 +1,3 @@
-import importlib
 import random
 import time
 
@@ -17,7 +16,6 @@ from cudfsolve import (
     SolveLimits,
     Status,
     brute_force,
-    build_problem,
     compute_closure,
     evaluate,
     full_scope,
@@ -30,6 +28,7 @@ from cudfsolve import (
     render_document,
     solve,
     solve_document,
+    solve_facts,
     validate_solution,
 )
 from cudfsolve.cli import main
@@ -60,7 +59,7 @@ def pigeonhole(pigeons, holes, criteria=CriteriaSeq(())):
         " | ".join(f"p{p}h{h}" for h in range(holes)) for p in range(pigeons)
     )
     doc = parse_document("\n".join(stanzas) + f"\nrequest: \ninstall: {install}\n")
-    return doc, build_problem(doc, criteria, full_scope(doc))
+    return doc, generate_facts(doc, criteria, full_scope(doc))
 
 
 def test_scenario_paranoid_optimum(scenario_doc):
@@ -185,10 +184,9 @@ def test_reported_objective_agrees_with_the_referee():
 
 
 def test_solver_reads_the_printed_fact_set(scenario_doc):
-    assert build_problem is generate_facts
     for criteria in (PARANOID, TRENDY):
         facts = generate_facts(scenario_doc, criteria, compute_closure(scenario_doc, criteria))
-        status, selection = solve(facts)
+        status, selection = solve_facts(facts)
         whole = solve_document(scenario_doc, criteria)
         assert status is whole.status is Status.OPTIMAL
         assert selection == whole.solution.installed
@@ -203,17 +201,17 @@ def test_empty_criteria_returns_any_valid_solution(scenario_doc):
 
 
 def test_pigeonhole_problems():
-    status, selection = solve(pigeonhole(5, 5)[1])
+    status, selection = solve_facts(pigeonhole(5, 5)[1])
     assert status is Status.OPTIMAL
     assert len(selection) == 5
-    status, selection = solve(pigeonhole(6, 5)[1])
+    status, selection = solve_facts(pigeonhole(6, 5)[1])
     assert status is Status.UNSATISFIABLE
     assert selection is None
 
 
 def test_conflict_budget_gives_up_cleanly():
     _, facts = pigeonhole(7, 6)
-    status, selection = solve(facts, limits=SolveLimits(max_steps=1, wall_clock=None))
+    status, selection = solve_facts(facts, limits=SolveLimits(max_steps=1, wall_clock=None))
     assert status is Status.TIMED_OUT
     assert selection is None
 
@@ -221,7 +219,7 @@ def test_conflict_budget_gives_up_cleanly():
 def test_budget_exhaustion_keeps_the_incumbent():
     fewest_new = parse_criteria("-new")
     doc, facts = pigeonhole(7, 7, criteria=fewest_new)
-    status, selection = solve(facts, limits=SolveLimits(max_steps=1, wall_clock=None))
+    status, selection = solve_facts(facts, limits=SolveLimits(max_steps=1, wall_clock=None))
     assert status is Status.TIMED_OUT
     # the first model was found without a single conflict; tightening it
     # ran out of budget, so we keep what we have
@@ -249,7 +247,7 @@ def test_an_interrupted_search_acts_like_an_expired_budget(
     path.write_text(scenario_text)
     facts = generate_facts(scenario_doc, TRENDY, compute_closure(scenario_doc, TRENDY))
     try:
-        status, selection = solve(facts)
+        status, selection = solve_facts(facts)
         calls.clear()
         code = main(["solve", str(path), "-c", "trendy", "-o", str(answer)])
     except KeyboardInterrupt:  # escaping, it would end the whole test session
@@ -272,8 +270,7 @@ def test_solve_document_refuses_an_answer_that_breaks_the_document(
 ):
     # the referee checks every answer, a timed-out incumbent too; a
     # broken one is a solver bug, not a problem with the input
-    module = importlib.import_module("cudfsolve.solve")
-    monkeypatch.setattr(module, "solve", lambda facts, limits: (status, frozenset()))
+    monkeypatch.setattr(solve, "solve", lambda facts, limits: (status, frozenset()))
     with pytest.raises(RuntimeError, match="unsatisfied request") as caught:
         solve_document(scenario_doc, PARANOID)
     assert not isinstance(caught.value, CudfError)
@@ -311,9 +308,8 @@ def test_step_budget_caps_the_conflicts_of_the_whole_solve(monkeypatch):
 
 
 def test_one_model_build_per_solve(monkeypatch, scenario_doc):
-    module = importlib.import_module("cudfsolve.solve")
     builds, searches = [], []
-    count_calls(monkeypatch, module, "_build_model", builds)
+    count_calls(monkeypatch, solve, "_build_model", builds)
     count_calls(monkeypatch, Solver, "solve", searches)
     docs = [scenario_doc] + [
         generate_instance(seed, packages=120, installed_fraction=0.5) for seed in (0, 7)
@@ -343,14 +339,13 @@ def test_one_bound_per_level(monkeypatch):
 
 
 def test_preprocessing_counts_against_the_wall_clock(monkeypatch, scenario_doc):
-    module = importlib.import_module("cudfsolve.solve")
-    original = module.generate
+    original = solve.generate
 
     def slow(*args, **kwargs):
         time.sleep(0.3)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, "generate", slow)
+    monkeypatch.setattr(solve, "generate", slow)
     outcome = solve_document(scenario_doc, PARANOID, limits=SolveLimits(wall_clock=0.2))
     assert outcome.status is Status.TIMED_OUT
     assert outcome.solution is None
@@ -412,7 +407,7 @@ def test_a_solve_builds_only_the_formulas_of_its_closure(monkeypatch):
 
 
 def test_model_stats(scenario_doc):
-    problem = build_problem(scenario_doc, PARANOID, full_scope(scenario_doc))
+    problem = generate_facts(scenario_doc, PARANOID, full_scope(scenario_doc))
     stats = model_stats(problem)
     assert stats["candidates"] == 11
     assert stats["variables"] >= stats["candidates"]
@@ -430,9 +425,8 @@ def test_solving_is_deterministic(scenario_doc):
 def test_oracle_prefilter_only_skips_invalid_subsets(monkeypatch):
     # brute_force drops subsets that fail a necessary condition before the
     # referee sees them; every subset it drops must really be invalid
-    module = importlib.import_module("cudfsolve.solve")
     checked = []
-    count_calls(monkeypatch, module, "validate_solution", checked)
+    count_calls(monkeypatch, solve, "validate_solution", checked)
     docs = [generate_instance(seed, **_corpus_knobs(seed)) for seed in range(0, 260, 10)]
     rng = random.Random(5)
     for _ in range(400):
