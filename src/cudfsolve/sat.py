@@ -13,9 +13,14 @@ from the root and decides its assumptions first, then each free
 literal of a list of preferred ones, in order, before any decision by
 activity and saved phase.  Unlike assumptions these are ordinary
 decisions, so a conflict overrides a preference and the clause it
-learns keeps it overridden.  Everything is deterministic — ties in the
-decision heuristic break on variable index — so repeated runs produce
-identical models.
+learns keeps it overridden.  A conflict undoes one level, its own,
+and the learned literal is asserted at the lower level its clause
+gives it, so the preferences decided below the conflict stay decided
+(chronological backtracking; Nadel and Ryvchin, SAT 2018).  An implied
+literal takes the highest level among its reason's literals, so a
+literal can sit on the trail after decisions of later levels.
+Everything is deterministic — ties in the decision heuristic break on
+variable index — so repeated runs produce identical models.
 
 Literals are signed integers (variable ``v`` appears as ``v`` and
 ``-v``); variables are numbered from 1.  Per-literal arrays are
@@ -137,7 +142,7 @@ class Solver:
             self.ok = False
             return
         if len(out) == 1:
-            self._enqueue(out[0], None)
+            self._enqueue(out[0], None, 0)
             return
         self.num_clauses += 1
         self.watches[out[0]].append(out)
@@ -180,18 +185,22 @@ class Solver:
             if weight <= slack:
                 break
             if self.lval[lit] == 0:
-                self._enqueue(-lit, constraint)
+                self._enqueue(-lit, constraint, 0)
 
     # ------------------------------------------------------------------
     # trail
 
-    def _enqueue(self, lit: int, reason: object) -> None:
-        """Make ``lit`` true at the current level; it must be unassigned."""
+    def _enqueue(self, lit: int, reason: object, level: int) -> None:
+        """Make ``lit`` true at ``level``; it must be unassigned.
+
+        ``level`` is the current level for a decision, and the highest
+        level among the reason's other literals for an implied literal.
+        """
         lval = self.lval
         v = lit if lit > 0 else -lit
         lval[lit] = 1
         lval[-lit] = -1
-        self.level[v] = len(self.trail_lim)
+        self.level[v] = level
         self.reason[v] = reason
         self.trail_pos[v] = len(self.trail)
         self.saved[v] = lit
@@ -202,24 +211,36 @@ class Solver:
             constraint.true_weight += weight
 
     def _backtrack(self, target: int) -> None:
+        """Unassign every literal whose level is above ``target``.
+
+        A literal at or below ``target`` can sit on the trail after the
+        decision of level ``target + 1``, since an implied literal takes
+        the highest level among its reason's literals.  Those stay, in
+        trail order, and are propagated again: the conflict that led here
+        may have stopped a watch list half-visited.
+        """
         if len(self.trail_lim) <= target:
             return
-        lval, card_occur, reason = self.lval, self.card_occur, self.reason
+        lval, card_occur, reason, level = self.lval, self.card_occur, self.reason, self.level
         in_heap, activity, heap = self.in_heap, self.activity, self.heap
         until = self.trail_lim[target]
         del self.trail_lim[target:]
-        trail = self.trail
-        for i in range(len(trail) - 1, until - 1, -1):
-            lit = trail[i]
+        trail, trail_pos = self.trail, self.trail_pos
+        kept: list[int] = []
+        for lit in trail[until:]:
+            v = lit if lit > 0 else -lit
+            if level[v] <= target:
+                trail_pos[v] = until + len(kept)
+                kept.append(lit)
+                continue
             for constraint, weight in card_occur[lit]:
                 constraint.true_weight -= weight
             lval[lit] = lval[-lit] = 0
-            v = lit if lit > 0 else -lit
             reason[v] = None
             if not in_heap[v]:
                 in_heap[v] = True
                 heappush(heap, (-activity[v], v))
-        del trail[until:]
+        trail[until:] = kept
         self.qhead = min(self.qhead, until)
         self._prefer_pos = 0
 
@@ -229,20 +250,27 @@ class Solver:
     def _propagate(self) -> list[int] | None:
         """Run to fixpoint; returns a falsified clause on conflict."""
         lval, trail, watches, card_occur = self.lval, self.trail, self.watches, self.card_occur
-        enqueue = self._enqueue
+        level, enqueue = self.level, self._enqueue
+        current = len(self.trail_lim)
         while self.qhead < len(trail):
             p = trail[self.qhead]
             self.qhead += 1
+            lower = level[p if p > 0 else -p] < current
 
             for constraint, _ in card_occur[p]:
                 slack = constraint.bound - constraint.true_weight
                 if slack < 0:
                     return self._card_conflict(constraint)
+                at = None  # the level of what this bound implies, once needed
                 for lit, w in zip(constraint.lits, constraint.weights):
                     if w <= slack:
                         break
                     if lval[lit] == 0:
-                        enqueue(-lit, constraint)
+                        if at is None:
+                            at = current
+                            if lower:
+                                at = max(level[abs(q)] for q in constraint.lits if lval[q] == 1)
+                        enqueue(-lit, constraint, at)
 
             false_lit = -p
             ws = watches[false_lit]
@@ -271,7 +299,8 @@ class Solver:
                         conflict = clause
                         kept.extend(ws[i + 1 :])
                         break
-                    enqueue(first, clause)
+                    at = max(level[abs(q)] for q in clause[1:]) if lower else current
+                    enqueue(first, clause, at)
             watches[false_lit] = kept
             if conflict is not None:
                 return conflict
@@ -326,6 +355,11 @@ class Solver:
             heappush(self.heap, (-activity[v], v))  # supersedes the stale entry
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        """The first-UIP clause of ``conflict`` and its backjump level.
+
+        The current level must be the conflict level, the highest among
+        the conflict's literals, and hold at least two of them.
+        """
         level, trail = self.level, self.trail
         current = len(self.trail_lim)
         seen = [False] * (self.num_vars + 1)
@@ -345,7 +379,7 @@ class Solver:
                     counter += 1
                 else:
                     learnt.append(q)
-            while not seen[abs(trail[idx])]:
+            while not seen[abs(trail[idx])] or level[abs(trail[idx])] != current:
                 idx -= 1
             p = trail[idx]
             idx -= 1
@@ -361,14 +395,15 @@ class Solver:
         learnt[1], learnt[best] = learnt[best], learnt[1]
         return learnt, level[abs(learnt[1])]
 
-    def _learn(self, learnt: list[int]) -> None:
+    def _learn(self, learnt: list[int], backjump: int) -> None:
+        """Add ``learnt`` and assert its first literal at ``backjump``."""
         if len(learnt) == 1:
-            self._enqueue(learnt[0], None)
+            self._enqueue(learnt[0], None, 0)
             return
         self.num_clauses += 1
         self.watches[learnt[0]].append(learnt)
         self.watches[learnt[1]].append(learnt)
-        self._enqueue(learnt[0], learnt)
+        self._enqueue(learnt[0], learnt, backjump)
 
     # ------------------------------------------------------------------
     # search
@@ -401,7 +436,12 @@ class Solver:
         the formula itself is unsatisfiable.  Then, before any decision
         by activity, the first free literal of ``prefer`` is decided
         true.  These are decisions, not assumptions: a conflict can flip
-        one, and the clause it learns keeps it flipped.  UNKNOWN once
+        one, and the clause it learns keeps it flipped.  A conflict
+        undoes only the highest level among its literals: with two or
+        more literals there, the first-UIP clause is learned and its
+        literal asserted at the clause's backjump level, below the
+        levels that stay; with one, that literal was implied lower
+        down, and it is assigned there.  UNKNOWN once
         ``conflicts`` reaches ``conflict_limit`` or the clock passes
         ``deadline``, which is checked every 128 conflicts and every 256
         decisions; both limits are absolute, so they span every call.
@@ -416,18 +456,27 @@ class Solver:
         restart_unit = 64
         luby_index = 1
         next_restart = self.conflicts + restart_unit * _luby(luby_index)
-        trail, trail_lim, lval = self.trail, self.trail_lim, self.lval
+        trail, trail_lim, lval, level = self.trail, self.trail_lim, self.lval, self.level
 
         while True:
             conflict = self._propagate()
             if conflict is not None:
+                top = max(level[abs(q)] for q in conflict)
+                at_top = [q for q in conflict if level[abs(q)] == top]
+                if top and len(at_top) == 1:
+                    # a missed implication: the literal held at a lower level
+                    below = max((level[abs(q)] for q in conflict if q != at_top[0]), default=0)
+                    self._backtrack(below)
+                    self._enqueue(at_top[0], conflict, below)
+                    continue
                 self.conflicts += 1
-                if not trail_lim:
+                if not top:
                     self.ok = False
                     return Result.UNSAT
+                self._backtrack(top)
                 learnt, backjump = self._analyze(conflict)
-                self._backtrack(backjump)
-                self._learn(learnt)
+                self._backtrack(top - 1)
+                self._learn(learnt, backjump)
                 self.var_inc *= _DECAY
                 if conflict_limit is not None and self.conflicts >= conflict_limit:
                     return Result.UNKNOWN
@@ -446,7 +495,7 @@ class Solver:
                     return Result.UNSAT  # the assumptions contradict the formula
                 trail_lim.append(len(trail))  # an empty level when already true
                 if lval[lit] == 0:
-                    self._enqueue(lit, None)
+                    self._enqueue(lit, None, depth + 1)
                 continue
             pos = self._prefer_pos
             while pos < len(prefer) and lval[prefer[pos]] != 0:
@@ -461,7 +510,7 @@ class Solver:
                 lit = self.saved[variable]
             self.decisions += 1
             trail_lim.append(len(trail))
-            self._enqueue(lit, None)
+            self._enqueue(lit, None, len(trail_lim))
             if deadline is not None and self.decisions % 256 == 0:
                 if monotonic() > deadline:
                     return Result.UNKNOWN

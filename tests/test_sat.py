@@ -157,17 +157,32 @@ def test_preferred_literals_are_decided_first_in_order():
 
 def test_a_preferred_literal_that_cannot_hold_is_flipped():
     # 1 breaks a clause either way 2 goes: the conflict flips the decision,
-    # the learned clause keeps it flipped on every later call, and the
-    # backjump sends the scan back to the first preferred literal, 3
+    # and the learned clause keeps it flipped on every later call. The
+    # conflict undoes only its own level, so decision 3 stays, and the
+    # learned unit -1 sits after it on the trail at level 0
     s = fresh(4)
     s.add_clause([-1, 2])
     s.add_clause([-1, -2])
     assert s.solve(prefer=[3, 1, 4]) is Result.SAT
     assert s.conflicts == 1
-    assert s.trail == [-1, 3, 4, 2]
+    assert s.trail == [3, -1, 4, 2]
+    assert s.level[1] == 0 and s.decisions == 4
     s.add_clause([2, 3, 4])  # back to the root: every decision is made again
     assert s.solve(prefer=[3, 1, 4]) is Result.SAT
     assert s.conflicts == 1 and s.trail == [-1, 3, 4, 2]
+
+
+def test_a_missed_lower_implication_is_no_conflict():
+    # the conflict of decision -1 learns the unit 1, which lands after
+    # decision -2 at level 0 and implies -3 there; [3, -1, 2] is then
+    # false with only 2 at level 1, so 2 was implied at the root all
+    # along: it moves there, and no second conflict is counted
+    s = fresh(3)
+    for clause in ([-3, 1], [-1, -3], [3, -1, 2], [3, 1]):
+        s.add_clause(clause)
+    assert s.solve(prefer=[-2, -1, -3]) is Result.SAT
+    assert s.conflicts == 1 and s.decisions == 2
+    assert s.trail == [1, -3, 2] and s.trail_lim == []
 
 
 def test_models_are_reproducible():
@@ -454,6 +469,74 @@ def test_incremental_bounds_agree_with_enumeration(monkeypatch, rescale_limit):
             model = s.model()
             assert_model_satisfies(model, clauses, atmosts)
     assert guarded_unsat > 100 and tightened > 40
+
+
+def assert_trail_levels(s):
+    # an implied literal sits at the highest level among its reason's
+    # literals, and those are false and earlier on the trail
+    for pos, lit in enumerate(s.trail):
+        v = abs(lit)
+        assert s.trail_pos[v] == pos and s.value(lit) == 1
+        if s.reason[v] is None:
+            continue
+        reason_lits = s._reason_lits(lit)
+        assert all(s.value(q) == -1 and s.trail_pos[abs(q)] < pos for q in reason_lits)
+        assert s.level[v] == max((s.level[abs(q)] for q in reason_lits), default=0)
+
+
+def test_deep_trails_agree_with_enumeration(monkeypatch):
+    # enough variables for a conflict to sit levels above literals that
+    # were implied late at a lower level; each round adds a bound and
+    # blocks part of the last model before every further search
+    kept_below = 0
+    backtrack = Solver._backtrack
+
+    def counting(s, target):
+        nonlocal kept_below
+        if target < len(s.trail_lim):
+            above = s.trail[s.trail_lim[target] :]
+            kept_below += any(s.level[abs(lit)] <= target for lit in above)
+        backtrack(s, target)
+
+    monkeypatch.setattr(Solver, "_backtrack", counting)
+    rng = random.Random(1)
+    for round_number in range(300):
+        n = rng.randint(8, 13)
+        s = Solver()
+        for _ in range(n):
+            s.new_var(phase=rng.random() < 0.5)
+        clauses, atmosts = [], []
+        for _ in range(rng.randint(n, 4 * n)):
+            chosen = rng.sample(range(1, n + 1), rng.randint(2, 4))
+            clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+            s.add_clause(clauses[-1])
+        models = [
+            model
+            for model in ([None, *bits] for bits in itertools.product([False, True], repeat=n))
+            if all(any(holds(model, l) for l in clause) for clause in clauses)
+        ]
+        for step in range(4):
+            chosen = rng.sample(range(1, n + 1), rng.randint(2, n))
+            lits = [v if rng.random() < 0.7 else -v for v in chosen]
+            weights = [rng.randint(1, 3) for _ in lits]
+            bound = rng.randint(sum(weights) // 3, sum(weights))
+            atmosts.append((lits, weights, bound))
+            s.add_atmost(lits, weights, bound)
+            models = [model for model in models if weight_of(model, lits, weights) <= bound]
+            chosen = rng.sample(range(1, n + 1), rng.randint(0, n))
+            prefer = [v if rng.random() < 0.5 else -v for v in chosen]
+            result = s.solve(prefer=prefer)
+            assert_trail_levels(s)
+            assert (result is Result.SAT) == bool(models), (round_number, step)
+            if result is not Result.SAT:
+                break
+            model = s.model()
+            assert_model_satisfies(model, clauses, atmosts)
+            block = [-v if model[v] else v for v in rng.sample(range(1, n + 1), rng.randint(2, 4))]
+            clauses.append(block)
+            s.add_clause(block)
+            models = [model for model in models if any(holds(model, l) for l in block)]
+    assert kept_below > 40
 
 
 def test_luby_sequence():
