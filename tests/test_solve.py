@@ -32,7 +32,7 @@ from cudfsolve import (
     validate_solution,
 )
 from cudfsolve.cli import main
-from cudfsolve.sat import Solver
+from cudfsolve.sat import Result, Solver
 
 PARANOID = parse_criteria("paranoid")
 TRENDY = parse_criteria("trendy")
@@ -347,6 +347,30 @@ def test_preprocessing_counts_against_the_wall_clock(monkeypatch, scenario_doc):
 
     monkeypatch.setattr(solve, "generate", slow)
     outcome = solve_document(scenario_doc, PARANOID, limits=SolveLimits(wall_clock=0.2))
+    assert outcome.status is Status.TIMED_OUT
+    assert outcome.solution is None
+
+
+def test_a_zero_wall_clock_runs_the_stages_before_the_search_and_no_search(
+    monkeypatch, scenario_doc
+):
+    # the stages before the search cannot be interrupted, so they run to
+    # the end however small the budget; the search then stops before its
+    # first decision
+    compiled, searched = [], []
+    count_calls(monkeypatch, solve, "generate", compiled)
+    original = Solver.solve
+
+    def counting(self, **kwargs):
+        before = self.decisions, self.conflicts
+        result = original(self, **kwargs)
+        searched.append((self.decisions - before[0], self.conflicts - before[1], result))
+        return result
+
+    monkeypatch.setattr(Solver, "solve", counting)
+    outcome = solve_document(scenario_doc, PARANOID, limits=SolveLimits(wall_clock=0.0))
+    assert len(compiled) == 1
+    assert searched == [(0, 0, Result.UNKNOWN)]
     assert outcome.status is Status.TIMED_OUT
     assert outcome.solution is None
 
