@@ -18,7 +18,9 @@ and the learned literal is asserted at the lower level its clause
 gives it, so the preferences decided below the conflict stay decided
 (chronological backtracking; Nadel and Ryvchin, SAT 2018).  An implied
 literal takes the highest level among its reason's literals, so a
-literal can sit on the trail after decisions of later levels.
+literal can sit on the trail after decisions of later levels.  Every
+reason is a clause: the literals a bound forces false share one, the
+negations of the bound's true literals.
 A search never restarts: with the preferences decided first and one
 level undone per conflict, Luby restarts fired twice over the 127
 seed-1 benchmark instances, and deleting them changed no answer.
@@ -76,7 +78,7 @@ class Solver:
         self.card_occur: list[list[tuple[AtMost, int]]] = [[]]
         # indexed by variable (entry 0 unused)
         self.level: list[int] = [0]
-        self.reason: list[object] = [None]
+        self.reason: list[list[int] | None] = [None]
         self.trail_pos: list[int] = [0]
         self.saved: list[int] = [0]  # the literal a decision on this variable picks
         self.activity: list[float] = [0.0]
@@ -176,7 +178,7 @@ class Solver:
         constraint only gets stronger.  A bound the root assignment
         already breaks makes the formula unsatisfiable; otherwise every
         free literal heavier than the slack is enqueued false at the
-        root, with the constraint as its reason.
+        root, with the negations of the true literals as its reason.
         """
         self._backtrack(0)
         constraint.bound = bound
@@ -184,16 +186,17 @@ class Solver:
         if slack < 0:
             self.ok = False
             return
+        reason = [-q for q in constraint.lits if self.lval[q] == 1]
         for lit, weight in zip(constraint.lits, constraint.weights):
             if weight <= slack:
                 break
             if self.lval[lit] == 0:
-                self._enqueue(-lit, constraint, 0)
+                self._enqueue(-lit, reason, 0)
 
     # ------------------------------------------------------------------
     # trail
 
-    def _enqueue(self, lit: int, reason: object, level: int) -> None:
+    def _enqueue(self, lit: int, reason: list[int] | None, level: int) -> None:
         """Make ``lit`` true at ``level``; it must be unassigned.
 
         ``level`` is the current level for a decision, and the highest
@@ -264,16 +267,15 @@ class Solver:
                 slack = constraint.bound - constraint.true_weight
                 if slack < 0:
                     return self._card_conflict(constraint)
-                at = None  # the level of what this bound implies, once needed
+                reason = None  # the true literals' negations, once needed
                 for lit, w in zip(constraint.lits, constraint.weights):
                     if w <= slack:
                         break
                     if lval[lit] == 0:
-                        if at is None:
-                            at = current
-                            if lower:
-                                at = max(level[abs(q)] for q in constraint.lits if lval[q] == 1)
-                        enqueue(-lit, constraint, at)
+                        if reason is None:
+                            reason = [-q for q in constraint.lits if lval[q] == 1]
+                            at = max(level[abs(q)] for q in reason) if lower else current
+                        enqueue(-lit, reason, at)
 
             false_lit = -p
             ws = watches[false_lit]
@@ -326,18 +328,8 @@ class Solver:
         return chosen
 
     def _reason_lits(self, lit: int) -> list[int]:
-        """The falsified tail of the clause that implied ``lit``."""
-        reason = self.reason[abs(lit)]
-        if isinstance(reason, AtMost):
-            lval, trail_pos = self.lval, self.trail_pos
-            cutoff = trail_pos[abs(lit)]
-            return [
-                -other
-                for other in reason.lits
-                if lval[other] == 1 and trail_pos[abs(other)] < cutoff
-            ]
-        assert isinstance(reason, list)
-        return [other for other in reason if other != lit]
+        """The false literals of the clause that implied ``lit``."""
+        return [other for other in self.reason[abs(lit)] if other != lit]
 
     # ------------------------------------------------------------------
     # learning
@@ -444,10 +436,11 @@ class Solver:
         more literals there, the first-UIP clause is learned and its
         literal asserted at the clause's backjump level, below the
         levels that stay; with one, that literal was implied lower
-        down, and it is assigned there.  UNKNOWN once
-        ``conflicts`` reaches ``conflict_limit`` or the clock passes
-        ``deadline``, which is checked every 128 conflicts and every 256
-        decisions; both limits are absolute, so they span every call.
+        down, and it is assigned there.  UNKNOWN once ``conflicts``
+        reaches ``conflict_limit`` (a conflict met there is not counted)
+        or the clock passes ``deadline``, which is checked every 128
+        conflicts and every 256 decisions; both limits are absolute, so
+        they span every call.
         """
         if not self.ok:
             return Result.UNSAT
@@ -469,6 +462,8 @@ class Solver:
                     self._backtrack(below)
                     self._enqueue(at_top[0], conflict, below)
                     continue
+                if conflict_limit is not None and self.conflicts >= conflict_limit:
+                    return Result.UNKNOWN
                 self.conflicts += 1
                 if not top:
                     self.ok = False

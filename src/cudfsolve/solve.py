@@ -11,22 +11,23 @@ learned clauses kept.  Each level gets one bound on its literals plus
 a guard literal's negation weighing 1, at the incumbent's count:
 searched under the assumption that the guard is false, a model must
 beat the incumbent, and the bound is tightened in place to each
-model's count.  When no better model exists the level's optimum is
-proven; fixing the guard true leaves the same bound holding the level
-there while the next levels improve.  Every search first decides the
-objective literals false, most significant level first, so the first
-model is already close to optimal and the descent takes few steps;
-they are preferences, not assumptions, and a conflict flips any of
-them that cannot hold.  :func:`solve_document`, which holds the
-document, checks the chosen selection with the referee and measures
-its objective.  For tiny universes :func:`brute_force` grinds through
-every subset and is the final word in disagreements.
+model's count.  The search that proves no better model exists (or a
+bound tightened to 0) leaves the guard true at the root, so the bound
+holds the level at its optimum while the next levels improve.  Every
+search first decides the objective literals false, most significant
+level first, so the first model is already close to optimal and the
+descent takes few steps; they are preferences, not assumptions, and a
+conflict flips any of them that cannot hold.  :func:`solve_document`,
+which holds the document, checks the chosen selection with the referee
+and measures its objective.  For tiny universes :func:`brute_force`
+grinds through every subset and is the final word in disagreements.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cache
 from time import monotonic
 
 from .closure import compute_closure, full_scope
@@ -129,38 +130,28 @@ def _build_model(
     for pid in invar:
         by_name.setdefault(pid.name, []).append(pid)
     o_names = {pid.name for pid in installed}
-    o_versions: dict[str, set[int]] = {}
-    for pid in installed:
-        o_versions.setdefault(pid.name, set()).add(pid.version)
+    o_gone = {pid.name for pid in installed if pid not in invar}  # a version out of scope
 
-    def define_or(lits: list[int]) -> int:
+    @cache
+    def define_or(*lits: int) -> int:
+        """A literal true exactly when one of ``lits`` is, defined once."""
+        if len(lits) == 1:
+            return lits[0]
         y = solver.new_var()
-        solver.add_clause([-y] + lits)
+        solver.add_clause([-y, *lits])
         for lit in lits:
             solver.add_clause([-lit, y])
         return y
 
-    inn_cache: dict[str, int] = {}
-
     def inn_lit(name: str) -> int:
         """Some version of ``name`` installed."""
-        if name not in inn_cache:
-            group = by_name[name]
-            if len(group) == 1:
-                inn_cache[name] = invar[group[0]]
-            else:
-                inn_cache[name] = define_or([invar[p] for p in group])
-        return inn_cache[name]
+        return define_or(*(invar[p] for p in by_name[name]))
 
     def changed_lit(name: str) -> int | None:
         """Version set of ``name`` differs from before; None when forced."""
-        group = by_name[name]
-        if name not in o_names:
-            return inn_lit(name)
-        if o_versions[name] - {p.version for p in group}:
-            return None  # an installed version fell out of scope
-        lits = [-invar[p] if p in installed else invar[p] for p in group]
-        return lits[0] if len(lits) == 1 else define_or(lits)
+        if name in o_gone:
+            return None
+        return define_or(*(-invar[p] if p in installed else invar[p] for p in by_name[name]))
 
     def outdated_lit(name: str) -> int | None:
         """``name`` installed but not at its newest version."""
@@ -273,7 +264,6 @@ def solve(
             if result is Result.UNSAT:
                 break
             solver.tighten(bound, counts[level])
-        solver.add_clause([guard])
 
     return Status.OPTIMAL, best
 

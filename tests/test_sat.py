@@ -14,6 +14,18 @@ def fresh(n):
     return solver
 
 
+def pigeonhole_solver(pigeons, holes):
+    """Every pigeon in some hole, no hole holding two: UNSAT when pigeons > holes."""
+    s = fresh(pigeons * holes)
+    for p in range(pigeons):
+        s.add_clause([p * holes + h + 1 for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                s.add_clause([-(p1 * holes + h + 1), -(p2 * holes + h + 1)])
+    return s
+
+
 def brute_sat(n, clauses, atmosts=()):
     """Ground-truth satisfiability by trying all 2**n assignments."""
     for bits in itertools.product([False, True], repeat=n):
@@ -59,13 +71,7 @@ def test_pigeonhole_is_unsat():
     # three pigeons, two holes: var (p, h) = p * 2 + h + 1; preferred
     # literals are decisions, so no list of them can decide a model into being
     for prefer in ((), [1, 3, 5], [-2, -4, -6, 1], [-6, -5, -4, -3, -2, -1]):
-        s = fresh(6)
-        for p in range(3):
-            s.add_clause([p * 2 + 1, p * 2 + 2])
-        for h in range(2):
-            for p1 in range(3):
-                for p2 in range(p1 + 1, 3):
-                    s.add_clause([-(p1 * 2 + h + 1), -(p2 * 2 + h + 1)])
+        s = pigeonhole_solver(3, 2)
         assert s.solve(prefer=prefer) is Result.UNSAT
         assert not s.ok
 
@@ -200,15 +206,29 @@ def test_models_are_reproducible():
     assert first.model() == second.model()
 
 
+def test_a_zero_conflict_budget_meets_no_conflict():
+    s = pigeonhole_solver(6, 5)
+    clauses = s.num_clauses
+    assert s.solve(conflict_limit=0) is Result.UNKNOWN
+    assert s.conflicts == 0 and s.num_clauses == clauses  # nothing counted or learned
+    # a search that needs no conflict still finds its model
+    s = pigeonhole_solver(5, 5)
+    assert s.solve(conflict_limit=0) is Result.SAT
+    assert s.conflicts == 0
+
+
+def test_a_spent_conflict_budget_counts_no_further_conflict():
+    s = pigeonhole_solver(6, 5)
+    assert s.solve(conflict_limit=3) is Result.UNKNOWN
+    assert s.conflicts == 3
+    clauses = s.num_clauses
+    assert s.solve(conflict_limit=3) is Result.UNKNOWN
+    assert s.conflicts == 3 and s.num_clauses == clauses
+
+
 def test_conflict_budget_returns_unknown():
     # a hole-heavy pigeonhole instance needs far more than one conflict
-    s = fresh(20)
-    for p in range(5):
-        s.add_clause([p * 4 + h + 1 for h in range(4)])
-    for h in range(4):
-        for p1 in range(5):
-            for p2 in range(p1 + 1, 5):
-                s.add_clause([-(p1 * 4 + h + 1), -(p2 * 4 + h + 1)])
+    s = pigeonhole_solver(5, 4)
     assert s.solve(conflict_limit=1) is Result.UNKNOWN
     assert s.conflicts == 1
     # the limit counts every conflict the solver has met, not this call's
@@ -290,13 +310,7 @@ def test_expired_deadline_is_noticed_up_front():
 
 def test_deadline_interrupts_a_long_search():
     # eight pigeons, seven holes: far more work than the deadline allows
-    s = fresh(56)
-    for p in range(8):
-        s.add_clause([p * 7 + h + 1 for h in range(7)])
-    for h in range(7):
-        for p1 in range(8):
-            for p2 in range(p1 + 1, 8):
-                s.add_clause([-(p1 * 7 + h + 1), -(p2 * 7 + h + 1)])
+    s = pigeonhole_solver(8, 7)
     assert s.solve(deadline=monotonic() + 0.05) is Result.UNKNOWN
 
 
@@ -479,6 +493,7 @@ def assert_trail_levels(s):
         assert s.trail_pos[v] == pos and s.value(lit) == 1
         if s.reason[v] is None:
             continue
+        assert isinstance(s.reason[v], list)  # a clause, whatever implied the literal
         reason_lits = s._reason_lits(lit)
         assert all(s.value(q) == -1 and s.trail_pos[abs(q)] < pos for q in reason_lits)
         assert s.level[v] == max((s.level[abs(q)] for q in reason_lits), default=0)

@@ -304,7 +304,51 @@ def test_step_budget_caps_the_conflicts_of_the_whole_solve(monkeypatch):
     for steps in (0, 1, 5, 20):
         used.clear()
         solve_document(doc, TRENDY, limits=SolveLimits(max_steps=steps, wall_clock=None))
-        assert sum(used) <= steps + 1, (steps, used)
+        assert sum(used) <= steps, (steps, used)
+
+
+def test_a_zero_step_budget_meets_no_conflict(monkeypatch):
+    met = []
+    original = Solver.solve
+
+    def counting(self, **kwargs):
+        before = self.conflicts
+        result = original(self, **kwargs)
+        met.append(self.conflicts - before)
+        return result
+
+    monkeypatch.setattr(Solver, "solve", counting)
+    zero = SolveLimits(max_steps=0, wall_clock=None)
+    doc, _ = pigeonhole(6, 5)
+    outcome = solve_document(doc, CriteriaSeq(()), limits=zero, use_closure=False)
+    assert outcome.status is Status.TIMED_OUT and outcome.solution is None
+    assert met == [0]
+    # a document whose searches need no conflict is still solved to optimality
+    doc = generate_instance(3, packages=20, installed_fraction=0.5)
+    met.clear()
+    outcome = solve_document(doc, TRENDY, limits=zero)
+    assert outcome.status is Status.OPTIMAL and met == [0, 0, 0, 0]
+    assert outcome.solution == solve_document(doc, TRENDY).solution
+
+
+def test_each_level_leaves_its_guard_true_at_the_root(monkeypatch):
+    # the search that proves a level optimal (or a bound tightened to 0)
+    # fixes the guard at the root, so nothing else has to
+    bounds = []
+    original = Solver.add_atmost
+
+    def recording(self, lits, weights, bound):
+        bounds.append((self, -lits[-1]))  # the guard's negation comes last
+        return original(self, lits, weights, bound)
+
+    monkeypatch.setattr(Solver, "add_atmost", recording)
+    doc = generate_instance(0, packages=300, installed_fraction=0.5)
+    facts = generate_facts(doc, TRENDY, compute_closure(doc, TRENDY))
+    status, _ = solve_facts(facts)
+    assert status is Status.OPTIMAL
+    assert len(bounds) == len(TRENDY)
+    for s, guard in bounds:
+        assert s.value(guard) == 1 and s.level[guard] == 0
 
 
 def test_one_model_build_per_solve(monkeypatch, scenario_doc):
